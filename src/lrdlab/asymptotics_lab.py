@@ -472,10 +472,12 @@ def run_brittleness(experiment: BrittlenessExperiment, tol: Tolerance = Toleranc
     """
     fp = FixedPoint.of_process(experiment.base)
     cover = max(experiment.levels) * max(experiment.lags)
+    perturbed = acvf(experiment.perturbed(), cover - 1, tol)
     rows: list[tuple[str, int, int, float]] = []
-    for label, spec in (("base", experiment.base), ("perturbed", experiment.perturbed())):
-        fp_own = FixedPoint.of_process(spec)
-        view = vtf(acvf(spec, cover - 1, tol), cover)
+    # The base is the perturbed Sum's first component, already tabulated.
+    for label, table in (("base", perturbed.components[0]), ("perturbed", perturbed)):
+        fp_own = FixedPoint.of_process(table.spec)
+        view = vtf(table, cover)
         for m in experiment.levels:
             for n in experiment.lags:
                 rows.append((label, m, n, view.omega(m * n) / fp_own.omega(m * n)))

@@ -37,9 +37,6 @@ from .process_model import spec_from_json, spec_to_json, spectrum
 from .sampler import sample, sample_many
 from .vtf_aggregation import aggregate_ctf, aggregate_vtf, vtf
 
-_SEED_BOUND = 2**64
-
-
 def _load_spec(path: str):
     try:
         text = Path(path).read_text()
@@ -57,8 +54,6 @@ def _parse_seed(text: str) -> int:
         value = int(text, 0)
     except ValueError as exc:
         raise DomainError(f"seed must be a decimal or 0x-prefixed integer, got {text!r}") from exc
-    if not 0 <= value < _SEED_BOUND:
-        raise DomainError(f"seed must fit in 64 unsigned bits, got {text!r}")
     return value
 
 

@@ -20,7 +20,7 @@ from scipy.special import gammaln
 
 from ._filon import filon_cos_integrals
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance
+from .kernel_special import HurstParam, Tolerance, _as_hurst
 from .process_model import (
     Fgn,
     FracDiff,
@@ -44,7 +44,7 @@ __all__ = [
     "acvf_via_convolution",
 ]
 
-_FSUM_CUTOFF = 1000
+_DIRECT_CUTOFF = 16
 _GRID_CAP = 1 << 22
 
 
@@ -55,47 +55,41 @@ class Route(enum.Enum):
     SUM_OF_COMPONENTS = "SumOfComponents"
 
 
-def _as_hurst(H: float | HurstParam) -> HurstParam:
-    return H if isinstance(H, HurstParam) else HurstParam(float(H))
-
-
 def _fgn_block(h: float, V: float, lags: np.ndarray) -> np.ndarray:
     """gamma(n) = V/2 ((n+1)^2H + |n-1|^2H - 2 n^2H) for each n in lags."""
     a = 2.0 * h
-    out = np.empty(lags.shape)
-    small = lags <= _FSUM_CUTOFF
-    # Exact-difference regime: fsum keeps the cancellation of four terms of
-    # comparable size correctly rounded.
-    for i in np.flatnonzero(small):
-        n = float(lags[i])
-        na = n**a
-        out[i] = 0.5 * V * math.fsum((abs(n + 1.0) ** a, abs(n - 1.0) ** a, -na, -na))
+    n = lags.astype(np.float64)
+    out = np.empty(n.shape)
+    # Direct difference up to n = 16: its rounding is a few ulps of
+    # (n+1)^a <= 17^2, about 1e-13 absolute at worst.
+    small = lags <= _DIRECT_CUTOFF
+    m = n[small]
+    out[small] = 0.5 * V * ((m + 1.0) ** a + np.abs(m - 1.0) ** a - 2.0 * m**a)
+    # Series regime: gamma(n) = V n^a sum_{m>=1} binom(a, 2m) n^(-2m); the
+    # seventh term is down by n^(-12) < 2e-15 from n = 17 on, so six terms
+    # leave a relative error at rounding level.
     big = ~small
-    if np.any(big):
-        # Series regime: gamma(n) = V n^a sum_{m>=1} binom(a, 2m) n^(-2m);
-        # all terms after the first are down by n^(-2) <= 1e-6, six terms
-        # leave a relative error far below 1e-15.
-        n = lags[big].astype(np.float64)
-        u2 = 1.0 / (n * n)
-        coeffs = []
-        c = a * (a - 1.0) / 2.0
+    nb = n[big]
+    u2 = 1.0 / (nb * nb)
+    coeffs = []
+    c = a * (a - 1.0) / 2.0
+    coeffs.append(c)
+    for k in range(2, 7):
+        c *= (a - (2 * k - 2)) * (a - (2 * k - 1)) / ((2 * k - 1) * (2 * k))
         coeffs.append(c)
-        for m in range(2, 7):
-            c *= (a - (2 * m - 2)) * (a - (2 * m - 1)) / ((2 * m - 1) * (2 * m))
-            coeffs.append(c)
-        acc = np.full(n.shape, coeffs[-1])
-        for cm in reversed(coeffs[:-1]):
-            acc = acc * u2 + cm
-        out[big] = V * n**a * u2 * acc
+    acc = np.full(u2.shape, coeffs[-1])
+    for ck in reversed(coeffs[:-1]):
+        acc = acc * u2 + ck
+    out[big] = V * nb**a * u2 * acc
     return out
 
 
 def fgn_acvf(H: float | HurstParam, V: float, n: int) -> float:
     """Exact fGn autocovariance at lag n for variance V.
 
-    Uses compensated summation of the closed form up to lag 1000 and the
-    k(1/n) series beyond, so values stay at full double precision even
-    where the direct difference would cancel catastrophically.
+    Uses the direct difference up to lag 16 and the 1/n^2 series beyond,
+    so values stay within a few ulps of gamma(n) even where the direct
+    difference of large powers would cancel catastrophically.
     """
     h = _as_hurst(H)
     if not (V > 0.0) or not math.isfinite(V):
@@ -161,17 +155,30 @@ class GCoeffs:
         return float(self.values[0] + 2.0 * math.fsum(self.values[1:]))
 
 
-def _ratio_samples(spec: FracDiff, star: Fgn, n_grid: int, tol: Tolerance) -> np.ndarray:
-    # g on the uniform grid k/N, k = 0..N-1, using evenness to halve the
-    # evaluation count; the removable point x = 0 is filled with its limit.
-    half = n_grid // 2
-    x = np.arange(1, half + 1, dtype=np.float64) / n_grid
-    g_half = spectrum(spec, x, tol) / spectrum(star, x, tol)
-    samples = np.empty(n_grid)
-    samples[0] = 1.0
-    samples[1 : half + 1] = g_half
-    samples[half + 1 :] = g_half[-2::-1]
-    return samples
+def _periodic_coeffs(half_samples, lo: int, hi: int, min_log2: int, tol: Tolerance, cap_message: str):
+    """Fourier coefficients lo..hi of an even, smooth, 1-periodic density.
+
+    ``half_samples(N)`` returns the density at k/N for k = 0..N/2; the grid
+    is mirrored, read off an FFT (trapezoid quadrature is exact for periodic
+    functions up to aliasing) and doubled until the requested coefficients
+    move by at most tol.abs_tol.  Grid points count against tol.max_terms.
+    """
+    n_grid = 1 << max(min_log2, int(math.ceil(math.log2(8 * (hi + 1)))))
+    prev = None
+    while True:
+        if n_grid > _GRID_CAP:
+            raise ConvergenceError(cap_message)
+        if n_grid > tol.max_terms:
+            raise ConvergenceError(
+                f"periodic coefficients not stable within {tol.max_terms} grid points"
+            )
+        half = half_samples(n_grid)
+        coeff = np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real / n_grid
+        block = coeff[lo : hi + 1]
+        if prev is not None and float(np.max(np.abs(block - prev))) <= tol.abs_tol:
+            return block
+        prev = block
+        n_grid *= 2
 
 
 def g_fourier_coeffs(
@@ -197,25 +204,15 @@ def g_fourier_coeffs(
     star = matched_fgn(spec)
     inner = Tolerance(abs_tol=min(tol.abs_tol, 1e-13), rel_tol=tol.rel_tol)
 
-    n_grid = 1 << max(16, int(math.ceil(math.log2(8 * (J_max + 1)))))
-    prev = None
-    refinements = 0
-    while True:
-        if n_grid > _GRID_CAP:
-            raise ConvergenceError(
-                f"coefficient grid exceeded {_GRID_CAP} points without stabilising"
-            )
-        coeff = np.fft.rfft(_ratio_samples(spec, star, n_grid, inner)).real / n_grid
-        coeff = coeff[: J_max + 1]
-        if prev is not None and float(np.max(np.abs(coeff - prev))) <= tol.abs_tol:
-            break
-        if refinements >= tol.max_terms:
-            raise ConvergenceError(
-                f"coefficients not stable after {refinements} grid refinements"
-            )
-        prev = coeff
-        n_grid *= 2
-        refinements += 1
+    def ratio(n_grid: int) -> np.ndarray:
+        # g has a removable point at x = 0, filled with its limit g(0) = 1.
+        x = np.arange(1, n_grid // 2 + 1, dtype=np.float64) / n_grid
+        return np.concatenate(([1.0], spectrum(spec, x, inner) / spectrum(star, x, inner)))
+
+    coeff = _periodic_coeffs(
+        ratio, 0, J_max, 16, tol,
+        f"coefficient grid exceeded {_GRID_CAP} points without stabilising",
+    )
 
     j = np.arange(max(100, J_max // 2), J_max + 1)
     env3 = float(np.max(j.astype(np.float64) ** 3 * np.abs(coeff[j]))) if j.size else 0.0
@@ -228,7 +225,9 @@ class AcvfTable:
 
     Thread-safe to read anywhere; :meth:`extend` appends under an internal
     lock, so a table can be grown while other threads keep reading the
-    already published prefix.
+    already published prefix.  ``components`` holds the tables of a Sum's
+    components in spec order (empty for other specs); the Sum table grows
+    them through their own :meth:`extend`.
     """
 
     def __init__(self, spec: ProcessSpec, route: Route, tol: Tolerance, builder, n_max: int):
@@ -237,6 +236,7 @@ class AcvfTable:
         self.tol = tol
         self._builder = builder
         self._lock = threading.Lock()
+        self.components: tuple[AcvfTable, ...] = ()
         values = np.asarray(builder(0, n_max), dtype=np.float64)
         values.flags.writeable = False
         self._values = values
@@ -266,31 +266,6 @@ class AcvfTable:
         return self
 
 
-def _periodic_driver_block(driver: ShortMemorySpec, lo: int, hi: int, tol: Tolerance):
-    # Short-memory spectra are smooth and periodic, so trapezoid/FFT
-    # coefficients converge geometrically; double the grid until the
-    # requested lags are stable.
-    n_grid = 1 << max(12, int(math.ceil(math.log2(8 * (hi + 1)))))
-    prev = None
-    while True:
-        if n_grid > _GRID_CAP:
-            achievable = _GRID_CAP // 8 - 1
-            raise ConvergenceError(
-                f"driver autocovariance grid exceeded {_GRID_CAP} points; "
-                f"n_max up to {achievable} is achievable"
-            )
-        half = n_grid // 2
-        x = np.arange(0, half + 1, dtype=np.float64) / n_grid
-        h_half = driver_density(driver, x)
-        samples = np.concatenate((h_half, h_half[-2:0:-1]))
-        coeff = np.fft.rfft(samples).real / n_grid
-        block = coeff[lo : hi + 1]
-        if prev is not None and float(np.max(np.abs(block - prev))) <= tol.abs_tol:
-            return block
-        prev = block
-        n_grid *= 2
-
-
 def _route_for(spec: ProcessSpec) -> Route:
     if isinstance(spec, Fgn):
         return Route.CLOSED_FORM
@@ -305,7 +280,7 @@ def _route_for(spec: ProcessSpec) -> Route:
     raise DomainError(f"unknown process spec {type(spec).__name__}")
 
 
-def _make_builder(spec: ProcessSpec, route: Route, tol: Tolerance):
+def _make_builder(spec: ProcessSpec, route: Route, tol: Tolerance, parts: tuple[AcvfTable, ...]):
     if route is Route.CLOSED_FORM and isinstance(spec, Fgn):
         return lambda lo, hi: _fgn_block(spec.H.H, spec.V, np.arange(lo, hi + 1))
 
@@ -325,7 +300,16 @@ def _make_builder(spec: ProcessSpec, route: Route, tol: Tolerance):
 
     if route is Route.SPECTRAL_SUBTRACTION:
         if spec.H.H == 0.5:
-            return lambda lo, hi: _periodic_driver_block(spec.driver, lo, hi, tol)
+            # Short-memory spectra are smooth and periodic, so the grid
+            # coefficients converge geometrically.
+            def density(n_grid: int) -> np.ndarray:
+                return driver_density(spec.driver, np.arange(0, n_grid // 2 + 1, dtype=np.float64) / n_grid)
+
+            cap_message = (
+                f"driver autocovariance grid exceeded {_GRID_CAP} points; "
+                f"n_max up to {_GRID_CAP // 8 - 1} is achievable"
+            )
+            return lambda lo, hi: _periodic_coeffs(density, lo, hi, 12, tol, cap_message)
 
         star = matched_fgn(spec)
         inner = Tolerance(abs_tol=min(tol.abs_tol, 1e-13), rel_tol=tol.rel_tol)
@@ -340,11 +324,10 @@ def _make_builder(spec: ProcessSpec, route: Route, tol: Tolerance):
 
         return subtraction
 
-    # Sum of components: child tables are built to the same horizon.
     def summed(lo: int, hi: int) -> np.ndarray:
         acc = np.zeros(hi - lo + 1)
-        for comp, weight in spec.components:
-            acc += weight * acvf(comp, hi, tol).values[lo : hi + 1]
+        for table, (_, weight) in zip(parts, spec.components):
+            acc += weight * table.extend(hi).values[lo : hi + 1]
         return acc
 
     return summed
@@ -361,7 +344,12 @@ def acvf(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTab
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     route = _route_for(spec)
-    return AcvfTable(spec, route, tol, _make_builder(spec, route, tol), n_max)
+    parts = ()
+    if route is Route.SUM_OF_COMPONENTS:
+        parts = tuple(acvf(comp, n_max, tol) for comp, _ in spec.components)
+    table = AcvfTable(spec, route, tol, _make_builder(spec, route, tol, parts), n_max)
+    table.components = parts
+    return table
 
 
 def acvf_via_convolution(
@@ -385,17 +373,12 @@ def acvf_via_convolution(
     gc = coeffs if coeffs is not None else g_fourier_coeffs(h, driver, J_max, tol)
     spec = FracDiff(h, driver)
     star = matched_fgn(spec)
-    g_vals = gc.values
+    j_top = gc.j_max
+    g_full = np.concatenate((gc.values[:0:-1], gc.values))
 
     def convolved(lo: int, hi: int) -> np.ndarray:
-        j_top = gc.j_max
-        base = _fgn_block(star.H.H, star.V, np.arange(0, hi + j_top + 1))
-        out = np.empty(hi - lo + 1)
-        j = np.arange(1, j_top + 1)
-        for idx, n in enumerate(range(lo, hi + 1)):
-            out[idx] = g_vals[0] * base[n] + float(
-                np.dot(g_vals[1:], base[np.abs(n - j)] + base[n + j])
-            )
-        return out
+        # gamma*(k) over k = lo-J..hi+J (even in k) against G_-J..G_J.
+        base = _fgn_block(star.H.H, star.V, np.abs(np.arange(lo - j_top, hi + j_top + 1)))
+        return np.convolve(base, g_full, mode="valid")
 
     return AcvfTable(spec, Route.CONVOLUTION, tol, convolved, n_max)

@@ -74,6 +74,10 @@ class HurstParam:
         return self.H > 0.5
 
 
+def _as_hurst(H: float | HurstParam) -> HurstParam:
+    return H if isinstance(H, HurstParam) else HurstParam(float(H))
+
+
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0.
 
@@ -92,8 +96,8 @@ def c_of_H(H: float | HurstParam) -> float:
     noise to the coefficient of the |x|^(1-2H) singularity of its spectral
     density.  Strictly positive on (0, 1); H = 1 is outside the domain.
     """
-    h = H.H if isinstance(H, HurstParam) else float(H)
-    if not (0.0 < h < 1.0) or not math.isfinite(h):
+    h = _as_hurst(H).H
+    if h >= 1.0:
         raise DomainError(f"c_of_H requires H in (0, 1), got {h!r}")
     return math.exp(log_gamma(2.0 * h)) * math.sin(math.pi * h) * h / math.pi
 
@@ -134,7 +138,7 @@ def fgn_lattice_sum(x, H: float | HurstParam, tol: Tolerance = Tolerance()):
     the truncation point is replaced by an Euler-Maclaurin correction whose
     remainder is provably below ``tol.abs_tol``.
     """
-    h = H.H if isinstance(H, HurstParam) else HurstParam(H).H
+    h = _as_hurst(H).H
     s = 2.0 * h + 1.0
     xa = np.asarray(x, dtype=np.float64)
     scalar = xa.ndim == 0

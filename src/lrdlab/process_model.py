@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .kernel_special import HurstParam, Tolerance, c_of_H, fgn_lattice_sum
+from .kernel_special import HurstParam, Tolerance, _as_hurst, c_of_H, fgn_lattice_sum
 
 __all__ = [
     "ShortMemorySpec",
@@ -47,10 +47,6 @@ class ShortMemorySpec:
     """Marker base for short-memory driver variants."""
 
     __slots__ = ()
-
-
-def _as_hurst(H: float | HurstParam) -> HurstParam:
-    return H if isinstance(H, HurstParam) else HurstParam(float(H))
 
 
 def _check_positive(value: float, what: str) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .covariance_engine import AcvfTable
 from .errors import CoverageError, DomainError
-from .kernel_special import HurstParam
+from .kernel_special import HurstParam, _as_hurst
 from .process_model import ProcessSpec, matched_fgn
 
 __all__ = [
@@ -162,8 +162,7 @@ class FixedPoint:
     V: float
 
     def __post_init__(self) -> None:
-        h = self.H if isinstance(self.H, HurstParam) else HurstParam(float(self.H))
-        object.__setattr__(self, "H", h)
+        object.__setattr__(self, "H", _as_hurst(self.H))
         if not (self.V > 0.0) or not math.isfinite(self.V):
             raise DomainError(f"V must be positive, got {self.V!r}")
 

@@ -28,6 +28,7 @@ from lrdlab.asymptotics_lab import (
     spectral_gap_profile,
     vtf_offset,
 )
+from lrdlab import covariance_engine
 from lrdlab.covariance_engine import acvf
 from lrdlab.errors import CoverageError, DomainError
 from lrdlab.kernel_special import HurstParam
@@ -261,6 +262,21 @@ class TestBrittleness:
         assert closer_at_1  # the perturbed process starts out closer
         for n in range(1, 11):
             assert abs(res.ratio("perturbed", 100, n) - 1.0) > abs(res.ratio("base", 100, n) - 1.0)
+
+    def test_base_quadrature_runs_once(self, monkeypatch):
+        # The base table is read off the perturbed Sum, not integrated again.
+        stock = builtin_experiment(2)
+        exp = BrittlenessExperiment(stock.base, stock.noise, stock.weight, levels=(1, 2), lags=(1, 2))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return filon_cos_integrals(*args, **kwargs)
+
+        monkeypatch.setattr(covariance_engine, "filon_cos_integrals", counted)
+        res = run_brittleness(exp)
+        assert len(calls) == 1
+        assert len(res.rows) == 8
 
     def test_series_accessor(self):
         res = run_brittleness(

@@ -11,12 +11,14 @@ convolution paths.
 import concurrent.futures
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from lrdlab.errors import ConvergenceError, CoverageError, DomainError
 from lrdlab.kernel_special import HurstParam, Tolerance
+from lrdlab import covariance_engine
 from lrdlab.covariance_engine import (
     AcvfTable,
     GCoeffs,
@@ -76,12 +78,30 @@ def test_fgn_acvf_white_and_degenerate():
 
 
 def test_fgn_acvf_series_matches_fsum_at_crossover():
-    # Both evaluation regimes around the lag-1000 switch must agree.
+    # The series agrees with the direct difference around its lag-16/17
+    # switch and where the direct difference still keeps 1e-9 (lag ~1000).
     for h in (0.6, 0.8, 0.95):
         a = 2.0 * h
-        for n in (999, 1000, 1001, 1002):
+        for n in (15, 16, 17, 18, 999, 1000, 1001, 1002):
             direct = 0.5 * math.fsum(((n + 1.0) ** a, (n - 1.0) ** a, -float(n) ** a, -float(n) ** a))
             assert fgn_acvf(h, 1.0, n) == pytest.approx(direct, rel=1e-9)
+
+
+def test_fgn_acvf_within_tolerance_of_mpmath():
+    # Every lag to 2000 within max(abs_tol, rel_tol |gamma|) of a 40-digit
+    # evaluation of the closed form.
+    tol = Tolerance()
+    lags = range(2001)
+    with mpmath.workdps(40):
+        for h in (0.55, 0.66, 0.8, 0.95):
+            got = acvf(Fgn(HurstParam(h), 1.0), 2000).values
+            a = mpmath.mpf(2 * h)
+            ref = np.array(
+                [float(((n + 1) ** a + abs(n - 1) ** a - 2 * mpmath.mpf(n) ** a) / 2) for n in lags]
+            )
+            allowance = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(ref))
+            worst = float(np.max(np.abs(got - ref) / allowance))
+            assert worst <= 1.0, f"H={h}: worst error {worst:.3g} allowances"
 
 
 def test_fgn_acvf_domain():
@@ -174,6 +194,15 @@ def test_route_selection():
         acvf(Fgn(HurstParam(0.8), 1.0), -1)
 
 
+def test_periodic_coefficient_grids_count_against_max_terms():
+    # Both FFT-grid routes count grid points against the work budget.
+    budget = Tolerance(max_terms=1)
+    with pytest.raises(ConvergenceError, match="grid points"):
+        acvf(FracDiff(HurstParam(0.5), Arma((0.95,), ())), 5000, budget)
+    with pytest.raises(ConvergenceError, match="grid points"):
+        g_fourier_coeffs(0.8, Arma((0.3,), (0.7,)), 64, budget)
+
+
 def test_subtraction_route_against_closed_form():
     # Fexp with no coefficients is the unit white driver, but dispatches to
     # the quadrature route; the closed form is its oracle.
@@ -224,6 +253,24 @@ def test_sum_additivity():
     want = t_x.values.copy()
     want[0] += 0.1
     assert np.allclose(t_z.values, want, rtol=1e-14, atol=1e-16)
+
+
+def test_sum_extend_grows_its_component_tables(monkeypatch):
+    z = Sum(((FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 1.0), (Fgn(HurstParam(0.5), 1.0), 0.1)))
+    tab = acvf(z, 20)
+    parts = tab.components
+    assert [p.spec for p in parts] == [c for c, _ in z.components]
+    assert all(p.n_max == 20 for p in parts)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("extend must not rebuild a component table")
+
+    monkeypatch.setattr(covariance_engine, "acvf", no_rebuild)
+    tab.extend(50)
+    assert tab.components is parts
+    assert all(p.n_max == 50 for p in parts)
+    assert np.array_equal(tab.values, parts[0].values + 0.1 * parts[1].values)
+    assert acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 5).components == ()
 
 
 def test_positive_semidefinite_at_desk_scale():
@@ -310,6 +357,18 @@ def test_table_concurrent_extend_and_read():
     assert tab.n_max == 512
     ref = acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 512)
     assert np.array_equal(tab.values, ref.values)
+
+
+def test_convolution_matches_term_by_term_sum():
+    # gamma(n) = sum over |j| <= J of G_j gamma*(n - j), summed in a loop;
+    # the vectorised route may differ by rounding in its summation order.
+    gc = g_fourier_coeffs(0.8, FARIMA11_DRIVER, J_max=64)
+    conv = acvf_via_convolution(0.8, FARIMA11_DRIVER, 10, coeffs=gc).extend(30)
+    star = matched_fgn(FracDiff(HurstParam(0.8), FARIMA11_DRIVER))
+    for n in range(31):
+        terms = [gc.G(j) * fgn_acvf(star.H, star.V, abs(n - j)) for j in range(-64, 65)]
+        bound = len(terms) * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
+        assert abs(conv.gamma(n) - math.fsum(terms)) <= bound
 
 
 def test_convolution_table_extend():
