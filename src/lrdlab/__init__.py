@@ -24,19 +24,19 @@ from .covariance_engine import (
     Route,
     acvf,
     acvf_via_convolution,
+    acvf_via_subtraction,
     farima00_acvf,
     fgn_acvf,
     g_fourier_coeffs,
 )
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance, c_of_H, fgn_lattice_sum, frac_diff_coeffs, log_gamma
+from .kernel_special import HurstParam, Tolerance, c_of_H, fgn_lattice_sum, frac_diff_coeffs
 from .process_model import (
     Arma,
     Fexp,
     Fgn,
     FracDiff,
     ProcessSpec,
-    SpectrumEval,
     Sum,
     WhiteNoise,
     matched_fgn,
@@ -77,7 +77,6 @@ __all__ = [
     "ProcessSpec",
     "Route",
     "SamplePath",
-    "SpectrumEval",
     "Sum",
     "Tolerance",
     "VtfView",
@@ -85,6 +84,7 @@ __all__ = [
     "acvf",
     "acvf_gap_profile",
     "acvf_via_convolution",
+    "acvf_via_subtraction",
     "aggregate_ctf",
     "aggregate_vtf",
     "builtin_experiment",
@@ -97,7 +97,6 @@ __all__ = [
     "fgn_lattice_sum",
     "frac_diff_coeffs",
     "g_fourier_coeffs",
-    "log_gamma",
     "matched_fgn",
     "run_brittleness",
     "sample",

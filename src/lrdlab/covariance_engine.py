@@ -1,11 +1,13 @@
-"""Autocovariance computation by multiple independent routes.
+"""Autocovariances of every process spec, one mechanism per spec type.
 
-Closed forms exist for fractional Gaussian noise and for fractionally
-differenced white noise; everything else goes through the spectral side,
-either by subtracting the matched fGn density (leaving a bounded integrand
-for oscillatory quadrature) or by convolving the fGn autocovariance with
-the Fourier coefficients G_j of the density ratio g = f / f*.  Routes are
-deliberately redundant: their agreement is a test obligation.
+Fractional Gaussian noise has a closed form.  A fractionally differenced
+spec has density h(x) |2 sin(pi x)|^(-2d), a product, so its
+autocovariance is the driver's autocovariance (read off an FFT grid)
+convolved with the closed-form FARIMA(0,d,0) one.  Sums add their
+components.  Two independent cross-checks stay available by name:
+:func:`acvf_via_subtraction` integrates the density minus its matched fGn
+by oscillatory quadrature, and :func:`acvf_via_convolution` convolves the
+fGn autocovariance with the Fourier coefficients G_j of g = f / f*.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "g_fourier_coeffs",
     "acvf",
     "acvf_via_convolution",
+    "acvf_via_subtraction",
 ]
 
 _DIRECT_CUTOFF = 16
@@ -50,6 +53,7 @@ _GRID_CAP = 1 << 22
 
 class Route(enum.Enum):
     CLOSED_FORM = "ClosedForm"
+    DRIVER_CONVOLUTION = "DriverConvolution"
     SPECTRAL_SUBTRACTION = "SpectralSubtraction"
     CONVOLUTION = "Convolution"
     SUM_OF_COMPONENTS = "SumOfComponents"
@@ -101,13 +105,11 @@ def fgn_acvf(H: float | HurstParam, V: float, n: int) -> float:
 
 def _farima00_values(d: float, sigma2: float, n_max: int) -> np.ndarray:
     # gamma(0) = sigma^2 Gamma(1-2d)/Gamma(1-d)^2, then the ratio recursion
-    # gamma(n) = gamma(n-1) (n-1+d)/(n-d); valid on the whole stationary
-    # band |d| < 1/2.
+    # gamma(n) = gamma(n-1) (n-1+d)/(n-d) in extended precision, so rounding
+    # does not accumulate; valid on the whole stationary band |d| < 1/2.
     g0 = sigma2 * math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
-    if n_max == 0:
-        return np.array([g0])
-    k = np.arange(1, n_max + 1, dtype=np.float64)
-    return g0 * np.concatenate(([1.0], np.cumprod((k - 1.0 + d) / (k - d))))
+    k = np.arange(1, n_max + 1, dtype=np.longdouble)
+    return (g0 * np.concatenate(([1.0], np.cumprod((k - 1.0 + d) / (k - d))))).astype(np.float64)
 
 
 def farima00_acvf(d: float, sigma2: float, n: int) -> float:
@@ -266,90 +268,108 @@ class AcvfTable:
         return self
 
 
-def _route_for(spec: ProcessSpec) -> Route:
+def _driver_acvf(driver: ShortMemorySpec, tol: Tolerance) -> np.ndarray:
+    """Driver autocovariances gamma_h(0..K), read off the FFT grid.
+
+    Dropping the lags beyond K moves each convolved lag by at most
+    gamma_F(0) * 2 sum_{k>K} |gamma_h(k)|, since |gamma_F(m)| <= gamma_F(0).
+    K is the first lag at which that bound is below (2K+1) eps gamma_F(0)
+    sum_k |gamma_h(k)|, the a priori rounding bound of the convolution's
+    2K+1 terms, so the truncation stays below the convolution's own rounding
+    floor (gamma_F(0) cancels).  ARMA and FEXP autocovariances decay
+    geometrically: once K lies in the lower half of the resolved lags, the
+    lags beyond them carry less still.  Grid points count against
+    tol.max_terms and _GRID_CAP.
+    """
+    if isinstance(driver, WhiteNoise):
+        return np.array([driver.variance])
+
+    def density(n_grid: int) -> np.ndarray:
+        return driver_density(driver, np.arange(0, n_grid // 2 + 1, dtype=np.float64) / n_grid)
+
+    hi = 64
+    while True:
+        gh = _periodic_coeffs(density, 0, hi, 12, tol, f"driver autocovariance grid exceeded {_GRID_CAP} points")
+        dropped = 2.0 * np.cumsum(np.abs(gh[:0:-1]))[::-1]  # dropped[k] = 2 sum_{j>k} |gamma_h(j)|
+        floor = (2 * np.arange(hi) + 1) * np.finfo(np.float64).eps * (abs(gh[0]) + dropped[0])
+        if dropped[hi // 2] <= floor[hi // 2]:  # dropped falls and floor grows with k
+            return gh[: int(np.argmax(dropped <= floor)) + 1]
+        hi *= 2
+
+
+def _builder_for(spec: ProcessSpec, n_max: int, tol: Tolerance):
+    """(route, builder, component tables) of a spec, chosen by its type alone."""
     if isinstance(spec, Fgn):
-        return Route.CLOSED_FORM
+        return Route.CLOSED_FORM, lambda lo, hi: _fgn_block(spec.H.H, spec.V, np.arange(lo, hi + 1)), ()
+
     if isinstance(spec, FracDiff):
-        if isinstance(spec.driver, WhiteNoise):
-            return Route.CLOSED_FORM
-        if spec.H.H >= 0.5:
-            return Route.SPECTRAL_SUBTRACTION
-        raise DomainError("autocovariance for antipersistent non-white drivers is not supported")
+        d = spec.H.d
+        if d >= 0.5:
+            raise DomainError("FracDiff needs H < 1 for a stationary autocovariance")
+        gh = _driver_acvf(spec.driver, tol)
+        k_top = len(gh) - 1
+        two_sided = np.concatenate((gh[:0:-1], gh))
+
+        def convolved(lo: int, hi: int) -> np.ndarray:
+            # gamma(n) = sum over |k| <= K of gamma_h(k) gamma_F(n - k); the
+            # unit FARIMA(0,d,0) values gamma_F are even in the lag.
+            g_f = _farima00_values(d, 1.0, hi + k_top)
+            return np.convolve(g_f[np.abs(np.arange(lo - k_top, hi + k_top + 1))], two_sided, mode="valid")
+
+        return Route.DRIVER_CONVOLUTION, convolved, ()
+
     if isinstance(spec, Sum):
-        return Route.SUM_OF_COMPONENTS
+        parts = tuple(acvf(comp, n_max, tol) for comp, _ in spec.components)
+
+        def summed(lo: int, hi: int) -> np.ndarray:
+            acc = np.zeros(hi - lo + 1)
+            for table, (_, weight) in zip(parts, spec.components):
+                acc += weight * table.extend(hi).values[lo : hi + 1]
+            return acc
+
+        return Route.SUM_OF_COMPONENTS, summed, parts
     raise DomainError(f"unknown process spec {type(spec).__name__}")
 
 
-def _make_builder(spec: ProcessSpec, route: Route, tol: Tolerance, parts: tuple[AcvfTable, ...]):
-    if route is Route.CLOSED_FORM and isinstance(spec, Fgn):
-        return lambda lo, hi: _fgn_block(spec.H.H, spec.V, np.arange(lo, hi + 1))
-
-    if route is Route.CLOSED_FORM:  # FracDiff over white noise
-        d = spec.H.d
-        v = spec.driver.variance
-
-        def white_closed(lo: int, hi: int) -> np.ndarray:
-            if d == 0.0:
-                out = np.zeros(hi - lo + 1)
-                if lo == 0:
-                    out[0] = v
-                return out
-            return _farima00_values(d, v, hi)[lo : hi + 1]
-
-        return white_closed
-
-    if route is Route.SPECTRAL_SUBTRACTION:
-        if spec.H.H == 0.5:
-            # Short-memory spectra are smooth and periodic, so the grid
-            # coefficients converge geometrically.
-            def density(n_grid: int) -> np.ndarray:
-                return driver_density(spec.driver, np.arange(0, n_grid // 2 + 1, dtype=np.float64) / n_grid)
-
-            cap_message = (
-                f"driver autocovariance grid exceeded {_GRID_CAP} points; "
-                f"n_max up to {_GRID_CAP // 8 - 1} is achievable"
-            )
-            return lambda lo, hi: _periodic_coeffs(density, lo, hi, 12, tol, cap_message)
-
-        star = matched_fgn(spec)
-        inner = Tolerance(abs_tol=min(tol.abs_tol, 1e-13), rel_tol=tol.rel_tol)
-
-        def phi(x: np.ndarray) -> np.ndarray:
-            return spectrum(spec, x, inner) - spectrum(star, x, inner)
-
-        def subtraction(lo: int, hi: int) -> np.ndarray:
-            lags = np.arange(lo, hi + 1)
-            base = _fgn_block(star.H.H, star.V, lags)
-            return base + 2.0 * filon_cos_integrals(phi, lags, tol)
-
-        return subtraction
-
-    def summed(lo: int, hi: int) -> np.ndarray:
-        acc = np.zeros(hi - lo + 1)
-        for table, (_, weight) in zip(parts, spec.components):
-            acc += weight * table.extend(hi).values[lo : hi + 1]
-        return acc
-
-    return summed
-
-
 def acvf(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTable:
-    """Autocovariance table gamma(0..n_max) with automatic route selection.
+    """Autocovariance table gamma(0..n_max), one route per spec type.
 
-    Fgn and white-driver FracDiff use closed forms; other fractionally
-    differenced specs subtract the matched fGn density and integrate the
-    bounded remainder; sums add their components.  The convolution route
-    is available separately via :func:`acvf_via_convolution`.
+    Fgn uses its closed form; FracDiff convolves its driver's
+    autocovariance with the FARIMA(0,d,0) closed form, on the whole
+    stationary band 0 < H < 1; sums add their components.  The quadrature
+    and G-coefficient routes are cross-checks, available separately as
+    :func:`acvf_via_subtraction` and :func:`acvf_via_convolution`.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    route = _route_for(spec)
-    parts = ()
-    if route is Route.SUM_OF_COMPONENTS:
-        parts = tuple(acvf(comp, n_max, tol) for comp, _ in spec.components)
-    table = AcvfTable(spec, route, tol, _make_builder(spec, route, tol, parts), n_max)
+    route, builder, parts = _builder_for(spec, n_max, tol)
+    table = AcvfTable(spec, route, tol, builder, n_max)
     table.components = parts
     return table
+
+
+def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTable:
+    """Autocovariance of a long-range dependent spec by spectral subtraction.
+
+    gamma(n) = gamma*(n) + 2 integral over (0, 1/2] of (f - f*)(x)
+    cos(2 pi n x) dx, with f* the matched fGn density: the difference is
+    bounded, so Filon quadrature integrates it.  Exists as an independent
+    cross-check of :func:`acvf`; its cost grows with the square of n_max.
+    """
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    star = matched_fgn(spec)
+    inner = Tolerance(abs_tol=min(tol.abs_tol, 1e-13), rel_tol=tol.rel_tol)
+
+    def phi(x: np.ndarray) -> np.ndarray:
+        return spectrum(spec, x, inner) - spectrum(star, x, inner)
+
+    def subtraction(lo: int, hi: int) -> np.ndarray:
+        lags = np.arange(lo, hi + 1)
+        base = _fgn_block(star.H.H, star.V, lags)
+        return base + 2.0 * filon_cos_integrals(phi, lags, tol)
+
+    return AcvfTable(spec, Route.SPECTRAL_SUBTRACTION, tol, subtraction, n_max)
 
 
 def acvf_via_convolution(
@@ -364,8 +384,9 @@ def acvf_via_convolution(
 
     gamma(n) = sum over |j| <= J of G_j gamma*(n - j), the spectral-domain
     multiplication f = g f* read back in lag space.  Exists as an
-    independent cross-check of the subtraction route; J is the cached
-    range of ``coeffs`` (computed here when not supplied).
+    independent cross-check of :func:`acvf` and of
+    :func:`acvf_via_subtraction`; J is the cached range of ``coeffs``
+    (computed here when not supplied).
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")

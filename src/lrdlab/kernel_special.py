@@ -1,7 +1,7 @@
 """Special-function kernels for long-range dependent second-order structure.
 
 Everything here is deterministic scalar/array math with explicit error
-control: log-gamma, the spectral constant C(H), fractional differencing
+control: the spectral constant C(H), fractional differencing
 weights, and the lattice sum that appears in the fractional Gaussian noise
 spectral density.  Higher layers build densities, covariances and
 variance-time functions out of these primitives.
@@ -20,7 +20,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "Tolerance",
     "HurstParam",
-    "log_gamma",
     "c_of_H",
     "frac_diff_coeffs",
     "fgn_lattice_sum",
@@ -78,17 +77,6 @@ def _as_hurst(H: float | HurstParam) -> HurstParam:
     return H if isinstance(H, HurstParam) else HurstParam(float(H))
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0.
-
-    Thin domain-checked wrapper; kept as the single gamma entry point so
-    every ratio of gamma values in the library goes through log space.
-    """
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"log_gamma requires x > 0, got {x!r}")
-    return float(gammaln(x))
-
-
 def c_of_H(H: float | HurstParam) -> float:
     """Spectral constant C(H) = Gamma(2H) sin(pi H) H / pi.
 
@@ -99,7 +87,7 @@ def c_of_H(H: float | HurstParam) -> float:
     h = _as_hurst(H).H
     if h >= 1.0:
         raise DomainError(f"c_of_H requires H in (0, 1), got {h!r}")
-    return math.exp(log_gamma(2.0 * h)) * math.sin(math.pi * h) * h / math.pi
+    return math.exp(gammaln(2.0 * h)) * math.sin(math.pi * h) * h / math.pi
 
 
 def frac_diff_coeffs(d: float, n_max: int) -> np.ndarray:

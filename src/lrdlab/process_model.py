@@ -29,7 +29,6 @@ __all__ = [
     "Fgn",
     "FracDiff",
     "Sum",
-    "SpectrumEval",
     "driver_density",
     "spectrum",
     "prefactor",
@@ -275,17 +274,6 @@ def spectrum(spec: ProcessSpec, x, tol: Tolerance = Tolerance()):
     xa, scalar = _domain_x(x)
     out = _spectrum_array(spec, xa, tol)
     return float(out[0]) if scalar else out
-
-
-@dataclass(frozen=True)
-class SpectrumEval:
-    """Bound spectral density: a pure callable f(x) with a fixed tolerance."""
-
-    spec: ProcessSpec
-    tol: Tolerance = Tolerance()
-
-    def __call__(self, x):
-        return spectrum(self.spec, x, self.tol)
 
 
 def prefactor(spec: ProcessSpec) -> float:

@@ -264,18 +264,19 @@ class TestBrittleness:
             assert abs(res.ratio("perturbed", 100, n) - 1.0) > abs(res.ratio("base", 100, n) - 1.0)
 
     def test_base_quadrature_runs_once(self, monkeypatch):
-        # The base table is read off the perturbed Sum, not integrated again.
+        # The base table is read off the perturbed Sum, not built again.
         stock = builtin_experiment(2)
         exp = BrittlenessExperiment(stock.base, stock.noise, stock.weight, levels=(1, 2), lags=(1, 2))
-        calls = []
+        builds = []
+        builder_for = covariance_engine._builder_for
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return filon_cos_integrals(*args, **kwargs)
+        def counted(spec, *args, **kwargs):
+            builds.append(spec)
+            return builder_for(spec, *args, **kwargs)
 
-        monkeypatch.setattr(covariance_engine, "filon_cos_integrals", counted)
+        monkeypatch.setattr(covariance_engine, "_builder_for", counted)
         res = run_brittleness(exp)
-        assert len(calls) == 1
+        assert builds.count(stock.base) == 1
         assert len(res.rows) == 8
 
     def test_series_accessor(self):

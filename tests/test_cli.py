@@ -257,12 +257,12 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_domain_error_exits_two(self, tmp_path, capsys):
-        antipersistent = {
+        unit_root = {
             "type": "fracdiff",
             "H": 0.3,
-            "driver": {"type": "arma", "ar": [0.5], "ma": [], "sigma2": 1.0},
+            "driver": {"type": "arma", "ar": [1.0], "ma": [], "sigma2": 1.0},
         }
-        rc, _, err = run(["acvf", "--spec", write_spec(tmp_path, antipersistent)], capsys)
+        rc, _, err = run(["acvf", "--spec", write_spec(tmp_path, unit_root)], capsys)
         assert rc == 2
         assert err.startswith("error:")
 

@@ -4,8 +4,9 @@ fGn values were frozen from a 60-digit evaluation of the closed form
 (including n = 10^6, where double-precision direct differencing fails);
 G coefficients were frozen from two independent measurements (FFT grid
 quadrature and adaptive integration of g(x) cos(2 pi j x)).  Route
-agreement tests treat the closed forms as oracles for the quadrature and
-convolution paths.
+agreement tests treat the closed forms and mpmath as oracles for the
+driver convolution of ``acvf`` and for the quadrature and G-coefficient
+cross-checks.
 """
 
 import concurrent.futures
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from lrdlab._filon import filon_cos_integrals
 from lrdlab.errors import ConvergenceError, CoverageError, DomainError
 from lrdlab.kernel_special import HurstParam, Tolerance
 from lrdlab import covariance_engine
@@ -23,8 +25,10 @@ from lrdlab.covariance_engine import (
     AcvfTable,
     GCoeffs,
     Route,
+    _GRID_CAP,
     acvf,
     acvf_via_convolution,
+    acvf_via_subtraction,
     farima00_acvf,
     fgn_acvf,
     g_fourier_coeffs,
@@ -122,6 +126,19 @@ def test_farima00_acvf_closed_form():
     assert farima00_acvf(0.3, 2.0, 3) == pytest.approx(2.0 * farima00_acvf(0.3, 1.0, 3), rel=1e-14)
 
 
+def test_farima00_recursion_within_1e_14_of_mpmath():
+    # The ratio recursion keeps its relative error at rounding level over
+    # long tables: gamma(n) = Gamma(1-2d) Gamma(n+d) / (Gamma(d) Gamma(1-d) Gamma(n+1-d)).
+    d = 0.3
+    table = acvf(FracDiff(HurstParam(0.5 + d), WhiteNoise(1.0)), 10_000).values
+    lags = np.unique(np.round(np.geomspace(1, 10_000, 40)).astype(int))
+    with mpmath.workdps(40):
+        dd = mpmath.mpf(0.5 + d) - mpmath.mpf(0.5)
+        for n in lags:
+            want = mpmath.gammaprod([1 - 2 * dd, int(n) + dd], [dd, 1 - dd, int(n) + 1 - dd])
+            assert abs(table[n] / float(want) - 1.0) <= 1e-14, f"lag {n}"
+
+
 def test_farima00_white_noise_limit():
     # gamma(1)/gamma(0) = d/(1-d) -> 0 as d -> 0+.
     ratio = farima00_acvf(1e-8, 1.0, 1) / farima00_acvf(1e-8, 1.0, 0)
@@ -182,31 +199,101 @@ def test_g_coeffs_domain_and_coverage():
 
 
 def test_route_selection():
+    # One route per spec type: every FracDiff, whatever its driver and H,
+    # antipersistent ARMA drivers included, is a driver convolution.
     assert acvf(Fgn(HurstParam(0.8), 1.0), 4).route is Route.CLOSED_FORM
-    assert acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 4).route is Route.CLOSED_FORM
-    assert acvf(FracDiff(HurstParam(0.8), Fexp(())), 4).route is Route.SPECTRAL_SUBTRACTION
-    assert acvf(FracDiff(HurstParam(0.5), FARIMA11_DRIVER), 4).route is Route.SPECTRAL_SUBTRACTION
+    for spec in (
+        FracDiff(HurstParam(0.8), WhiteNoise(1.0)),
+        FracDiff(HurstParam(0.8), Fexp(())),
+        FracDiff(HurstParam(0.5), FARIMA11_DRIVER),
+        FracDiff(HurstParam(0.4), FARIMA11_DRIVER),
+    ):
+        assert acvf(spec, 4).route is Route.DRIVER_CONVOLUTION
     z = Sum(((Fgn(HurstParam(0.8), 1.0), 1.0), (Fgn(HurstParam(0.5), 1.0), 0.1)))
     assert acvf(z, 4).route is Route.SUM_OF_COMPONENTS
     with pytest.raises(DomainError):
-        acvf(FracDiff(HurstParam(0.4), FARIMA11_DRIVER), 4)
-    with pytest.raises(DomainError):
         acvf(Fgn(HurstParam(0.8), 1.0), -1)
+    with pytest.raises(DomainError):
+        acvf(FracDiff(HurstParam(1.0), WhiteNoise(1.0)), 4)
+
+
+def test_acvf_never_integrates(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return filon_cos_integrals(*args, **kwargs)
+
+    monkeypatch.setattr(covariance_engine, "filon_cos_integrals", counted)
+    spec = FracDiff(HurstParam(0.8), FARIMA11_DRIVER)
+    acvf(spec, 64).extend(128)
+    assert calls == []
+    acvf_via_subtraction(spec, 8)
+    assert len(calls) >= 1
 
 
 def test_periodic_coefficient_grids_count_against_max_terms():
-    # Both FFT-grid routes count grid points against the work budget.
+    # Every FFT-grid route counts grid points against the work budget.
     budget = Tolerance(max_terms=1)
     with pytest.raises(ConvergenceError, match="grid points"):
         acvf(FracDiff(HurstParam(0.5), Arma((0.95,), ())), 5000, budget)
     with pytest.raises(ConvergenceError, match="grid points"):
+        acvf(FracDiff(HurstParam(0.8), Arma((0.3,), (0.7,))), 10, budget)
+    with pytest.raises(ConvergenceError, match="grid points"):
         g_fourier_coeffs(0.8, Arma((0.3,), (0.7,)), 64, budget)
 
 
+def _density_acvf(spec, n, dps=25):
+    # gamma(n) = 2 * integral over (0, 1/2] of f(x) cos(2 pi n x) dx, split
+    # every half period of the cosine.
+    phi, = spec.driver.ar
+    d = mpmath.mpf(spec.H.H) - mpmath.mpf(0.5)
+    with mpmath.workdps(dps):
+        def f(x):
+            h = 1 / abs(1 - phi * mpmath.expjpi(2 * x)) ** 2
+            return h * abs(2 * mpmath.sinpi(x)) ** (-2 * d) * mpmath.cospi(2 * n * x)
+
+        nodes = [mpmath.mpf(k) / (2 * n) for k in range(n + 1)] if n else [0, mpmath.mpf(0.5)]
+        return float(2 * mpmath.quad(f, nodes))
+
+
+def test_antipersistent_arma_driver_against_mpmath_quadrature():
+    spec = FracDiff(HurstParam(0.3), Arma((0.5,), ()))
+    table = acvf(spec, 100)
+    for n in (0, 1, 10, 100):
+        want = _density_acvf(spec, n)
+        assert table.gamma(n) == pytest.approx(want, rel=1e-14, abs=1e-15)
+    assert table.gamma(1) > 0.0 > table.gamma(100)
+
+
+def test_near_unit_root_driver_against_exact_sum():
+    # AR(1) with phi = 0.99: gamma_h(k) = phi^|k| / (1 - phi^2), convolved
+    # with the unit FARIMA(0,d,0) autocovariance; phi^6000 < 1e-26.  The
+    # driver truncation keeps every lag well inside the budget.
+    phi, d, k_top = 0.99, 0.3, 6000
+    tol = Tolerance()
+    table = acvf(FracDiff(HurstParam(0.5 + d), Arma((phi,), ())), 200)
+    with mpmath.workdps(30):
+        dd = mpmath.mpf(0.5 + d) - mpmath.mpf(0.5)
+        g_f = [mpmath.gamma(1 - 2 * dd) / mpmath.gamma(1 - dd) ** 2]
+        for m in range(1, k_top + 201):
+            g_f.append(g_f[-1] * (m - 1 + dd) / (m - dd))
+        g_h = [mpmath.mpf(phi) ** k / (1 - mpmath.mpf(phi) ** 2) for k in range(k_top + 1)]
+        for n in (0, 1, 10, 200):
+            want = float(mpmath.fsum(g_h[abs(k)] * g_f[abs(n - k)] for k in range(-k_top, k_top + 1)))
+            allowance = max(tol.abs_tol, tol.rel_tol * abs(want))
+            assert abs(table.gamma(n) - want) <= 1e-2 * allowance, f"lag {n}"
+
+
+def test_driver_grid_cap_is_named():
+    with pytest.raises(ConvergenceError, match=f"exceeded {_GRID_CAP} points"):
+        acvf(FracDiff(HurstParam(0.8), Arma((0.999,), ())), 10)
+
+
 def test_subtraction_route_against_closed_form():
-    # Fexp with no coefficients is the unit white driver, but dispatches to
-    # the quadrature route; the closed form is its oracle.
-    table = acvf(FracDiff(HurstParam(0.8), Fexp(())), 200)
+    # Fexp with no coefficients is the unit white driver; the closed form
+    # is the oracle of the quadrature.
+    table = acvf_via_subtraction(FracDiff(HurstParam(0.8), Fexp(())), 200)
     assert table.route is Route.SPECTRAL_SUBTRACTION
     ref = np.array([farima00_acvf(0.3, 1.0, n) for n in range(201)])
     assert float(np.max(np.abs(table.values - ref))) <= 1e-8
@@ -216,7 +303,7 @@ def test_convolution_route_against_subtraction():
     # Two independent routes for the same spec are each other's oracle.
     drivers = [FARIMA11_DRIVER, Arma(ar=(0.5,), ma=(-0.2,), innovation_variance=1.3)]
     for drv in drivers:
-        sub = acvf(FracDiff(HurstParam(0.8), drv), 50)
+        sub = acvf_via_subtraction(FracDiff(HurstParam(0.8), drv), 50)
         conv = acvf_via_convolution(0.8, drv, 50)
         assert conv.route is Route.CONVOLUTION
         assert float(np.max(np.abs(sub.values - conv.values))) <= 1e-6
@@ -375,5 +462,5 @@ def test_convolution_table_extend():
     gc = g_fourier_coeffs(0.8, FARIMA11_DRIVER, J_max=2000)
     conv = acvf_via_convolution(0.8, FARIMA11_DRIVER, 10, coeffs=gc)
     conv.extend(30)
-    sub = acvf(FracDiff(HurstParam(0.8), FARIMA11_DRIVER), 30)
+    sub = acvf_via_subtraction(FracDiff(HurstParam(0.8), FARIMA11_DRIVER), 30)
     assert float(np.max(np.abs(conv.values - sub.values))) <= 1e-6

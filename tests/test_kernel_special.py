@@ -18,16 +18,7 @@ from lrdlab.kernel_special import (
     c_of_H,
     fgn_lattice_sum,
     frac_diff_coeffs,
-    log_gamma,
 )
-
-LOGGAMMA_ORACLE = {
-    0.3: 1.0957979948180755606,
-    1.0: 0.0,
-    2.5: 0.28468287047291915963,
-    7.7: 7.9265413562690047789,
-    123.456: 469.6055471299294835,
-}
 
 C_ORACLE = {
     0.6: 0.16677471495612405693,
@@ -65,17 +56,6 @@ LATTICE_ORACLE = {
     (0.037, 0.9): 59.461828778470051379,
     (0.31, 0.51): 0.35770470565100334607,
 }
-
-
-def test_log_gamma_matches_oracle():
-    for x, want in LOGGAMMA_ORACLE.items():
-        assert log_gamma(x) == pytest.approx(want, rel=1e-14, abs=1e-14)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.nan, math.inf])
-def test_log_gamma_domain(bad):
-    with pytest.raises(DomainError):
-        log_gamma(bad)
 
 
 def test_c_of_h_matches_oracle():

@@ -19,7 +19,6 @@ from lrdlab.process_model import (
     Fexp,
     Fgn,
     FracDiff,
-    SpectrumEval,
     Sum,
     WhiteNoise,
     dominating_hurst,
@@ -149,12 +148,12 @@ def test_spectrum_integrates_to_variance():
     # Pins the frequency convention: integral of f over [-1/2, 1/2] is the
     # variance.  Endpoint singularity x^(1 - 2H) is integrable; QUADPACK
     # extrapolation handles it.
-    f_star = SpectrumEval(Fgn(HurstParam(0.8), 1.7), Tolerance(abs_tol=1e-13))
-    val, err = scipy.integrate.quad(f_star, 0.0, 0.5, limit=400)
+    star = Fgn(HurstParam(0.8), 1.7)
+    val, err = scipy.integrate.quad(lambda x: spectrum(star, x, Tolerance(abs_tol=1e-13)), 0.0, 0.5, limit=400)
     assert 2.0 * val == pytest.approx(1.7, rel=1e-8)
 
-    f_fd = SpectrumEval(FracDiff(HurstParam(0.8), WhiteNoise(1.0)))
-    val, _ = scipy.integrate.quad(f_fd, 0.0, 0.5, limit=400)
+    fd = FracDiff(HurstParam(0.8), WhiteNoise(1.0))
+    val, _ = scipy.integrate.quad(lambda x: spectrum(fd, x), 0.0, 0.5, limit=400)
     want = math.gamma(0.4) / math.gamma(0.7) ** 2
     assert 2.0 * val == pytest.approx(want, rel=1e-8)
 
@@ -298,7 +297,7 @@ def test_json_rejects_malformed(bad):
 
 
 def test_spectrum_eval_is_callable_and_pure():
-    ev = SpectrumEval(Fgn(HurstParam(0.8), 1.0))
-    assert ev(0.25) == spectrum(Fgn(HurstParam(0.8), 1.0), 0.25)
-    arr = ev(np.array([0.1, 0.2]))
+    spec = Fgn(HurstParam(0.8), 1.0)
+    assert spectrum(spec, 0.25) == spectrum(Fgn(HurstParam(0.8), 1.0), 0.25)
+    arr = spectrum(spec, np.array([0.1, 0.2]))
     assert arr.shape == (2,)
