@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import polygamma
 
-from .covariance_engine import AcvfTable, acvf, g_fourier_coeffs
+from .covariance_engine import acvf, g_fourier_coeffs
 from .errors import CoverageError, DomainError
 from .kernel_special import HurstParam, Tolerance
 from .process_model import (
@@ -30,7 +30,7 @@ from .process_model import (
     spec_to_json,
     spectrum,
 )
-from .vtf_aggregation import FixedPoint, VtfView, aggregate_ctf, vtf
+from .vtf_aggregation import FixedPoint, VtfView
 
 __all__ = [
     "OffsetEvidence",
@@ -82,12 +82,21 @@ def _require_shared_fixed_point(spec: ProcessSpec, fixed_point: FixedPoint) -> N
         )
 
 
-def _view_for(spec: ProcessSpec, n_max: int, tol: Tolerance, view: VtfView | None) -> VtfView:
+def _view_for(spec: ProcessSpec, tol: Tolerance, view: VtfView | None) -> VtfView:
     if view is None:
-        return vtf(acvf(spec, n_max - 1, tol), n_max)
-    if view.acvf.spec != spec:
+        return VtfView(spec, tol)
+    if view.spec != spec:
         raise DomainError("supplied VTF was built for a different spec")
-    return view.extend(max(view.n_max, n_max))
+    return view
+
+
+def _offsets(view: VtfView, fixed_point: FixedPoint, n) -> np.ndarray:
+    # omega(n) - omega*(n) from the view's own offset: a V* that differs
+    # from the view's V in the last digits adds (V - V*) n^(2H), and the
+    # last term is exactly 0 unless the Hurst exponents differ too.
+    x = np.asarray(n, dtype=np.float64)
+    star = x ** (2.0 * fixed_point.H.H)
+    return view.offset(n) + (view.V - fixed_point.V) * star + view.V * (x ** (2.0 * view.H.H) - star)
 
 
 @dataclass(frozen=True)
@@ -97,13 +106,15 @@ class OffsetEvidence:
     ``offsets`` holds omega(n) - omega*(n) at each probe; ``limit_fitted``
     and ``rate_coefficient`` come from a least-squares fit of
     offset(n) = D + c n^(2H-2) over the probes, which removes the leading
-    transient that the raw endpoint value still carries.
+    transient that the raw endpoint value still carries.  ``D_exact`` is
+    the exact limit of omega(n) - V n^(2H) (:attr:`VtfView.D`).
     """
 
     probes: tuple[int, ...]
     offsets: tuple[float, ...]
     converged: bool
     last_delta: float
+    D_exact: float
     limit_fitted: float
     rate_coefficient: float
     D_formula_signed: float
@@ -147,11 +158,11 @@ def vtf_offset(
 
     Returns the offset at the largest probe together with the evidence
     sequence.  ``converged`` means the last two probes agree within
-    stabilisation_tol relative to the offset itself (an offset at the
-    rounding floor of the accumulation counts as stable).  Both closed-form
-    candidates for the limit are computed from the coefficients of the
-    density ratio; a fitted limit extrapolating the n^(2H-2) transient is
-    included for diagnosis.
+    stabilisation_tol relative to the offset itself (an offset of exactly
+    0, as for fGn, counts as stable).  The exact limit comes with the
+    closed-form VTF; both closed-form candidates for it are computed from
+    the coefficients of the density ratio, and a fitted limit
+    extrapolating the n^(2H-2) transient is included for diagnosis.
     """
     if not isinstance(spec, (Fgn, FracDiff)):
         raise DomainError("VTF offset needs a fractional Gaussian noise or fractionally differenced spec")
@@ -162,15 +173,10 @@ def vtf_offset(
     if len(probes) < 2:
         raise DomainError("need at least two probe scales")
 
-    v = _view_for(spec, probes[-1], tol, view)
-    offsets = tuple(v.omega(n) - fixed_point.omega(n) for n in probes)
+    v = _view_for(spec, tol, view)
+    offsets = tuple(float(off) for off in _offsets(v, fixed_point, probes))
     d_hat = offsets[-1]
     last_delta = abs(offsets[-1] - offsets[-2])
-    floor = 64.0 * _EPS * fixed_point.omega(probes[-1])
-    if abs(d_hat) <= floor:
-        # Offsets below the accumulation floor are rounding residue; the
-        # raw sequence stays available in the evidence.
-        d_hat = 0.0
     converged = d_hat == 0.0 or last_delta <= stabilisation_tol * abs(d_hat)
 
     x = np.array(probes, dtype=np.float64) ** (2.0 * fixed_point.H.H - 2.0)
@@ -181,6 +187,7 @@ def vtf_offset(
         offsets=offsets,
         converged=bool(converged),
         last_delta=float(last_delta),
+        D_exact=v.D,
         limit_fitted=float(limit),
         rate_coefficient=float(rate),
         D_formula_signed=signed,
@@ -237,9 +244,13 @@ def ctf_convergence_slope(
     if len(lv) < 3 or lv[-1] < 100 * lv[0]:
         raise DomainError("levels must span at least two decades")
 
-    v = _view_for(spec, lv[-1] * n, tol, view)
+    v = _view_for(spec, tol, view)
     rho_star = fixed_point.rho(n)
-    gaps = tuple(aggregate_ctf(v, m, n) - rho_star for m in lv)
+    # rho^(m)(n) - n^(2H) = [offset(mn) - n^(2H) offset(m)] / omega(m): the
+    # V (mn)^(2H) terms cancel exactly, not in rounding.
+    n_a = float(n) ** (2.0 * v.H.H)
+    gap = (v.offset([m * n for m in lv]) - n_a * v.offset(lv)) / v.omega(lv) + (n_a - rho_star)
+    gaps = tuple(float(g) for g in gap)
 
     floor = max(20.0 * _EPS, 1e-14) * rho_star
     usable = [(m, g) for m, g in zip(lv, gaps) if abs(g) > floor]
@@ -359,8 +370,6 @@ def acvf_gap_profile(
     fixed_point: FixedPoint,
     n_grid,
     tol: Tolerance = Tolerance(),
-    *,
-    table: AcvfTable | None = None,
 ) -> AcvfGapProfile:
     """Tabulate the autocovariance gap against the fixed point.
 
@@ -374,12 +383,7 @@ def acvf_gap_profile(
         raise DomainError(f"lag grid beyond 10000 is not supported, got {grid[-1]}")
     n_top = grid[-1]
 
-    if table is None:
-        table = acvf(spec, n_top, tol)
-    elif table.spec != spec:
-        raise DomainError("supplied table was built for a different spec")
-    elif table.n_max < n_top:
-        table = table.extend(n_top)
+    table = acvf(spec, n_top, tol)
     star = acvf(Fgn(fixed_point.H, fixed_point.V), n_top, tol)
     d_full = table.values[: n_top + 1] - star.values
 
@@ -471,16 +475,14 @@ def run_brittleness(experiment: BrittlenessExperiment, tol: Tolerance = Toleranc
     there more slowly.
     """
     fp = FixedPoint.of_process(experiment.base)
-    cover = max(experiment.levels) * max(experiment.lags)
-    perturbed = acvf(experiment.perturbed(), cover - 1, tol)
+    perturbed = VtfView(experiment.perturbed(), tol)
+    grid = [(m, n) for m in experiment.levels for n in experiment.lags]
     rows: list[tuple[str, int, int, float]] = []
-    # The base is the perturbed Sum's first component, already tabulated.
-    for label, table in (("base", perturbed.components[0]), ("perturbed", perturbed)):
-        fp_own = FixedPoint.of_process(table.spec)
-        view = vtf(table, cover)
-        for m in experiment.levels:
-            for n in experiment.lags:
-                rows.append((label, m, n, view.omega(m * n) / fp_own.omega(m * n)))
+    # The base is the perturbed Sum's first component, already built.
+    for label, view in (("base", perturbed.components[0]), ("perturbed", perturbed)):
+        fp_own = FixedPoint.of_process(view.spec)
+        omega = view.omega([m * n for m, n in grid])
+        rows.extend((label, m, n, float(w) / fp_own.omega(m * n)) for (m, n), w in zip(grid, omega))
     return BrittlenessResult(experiment=experiment, fixed_point=fp, rows=tuple(rows))
 
 
@@ -521,8 +523,9 @@ def builtin_experiment(index: int) -> BrittlenessExperiment:
 class ClosenessReport:
     """Bundle of closeness diagnostics for one spec against its fixed point.
 
-    ``matched_candidate`` names which closed-form offset candidate agrees
-    with the measured D_hat within 1e-4 relative ("signed", "absolute",
+    ``D_hat`` is the offset at the largest probe, ``D_exact`` its exact
+    limit.  ``matched_candidate`` names which closed-form candidate for the
+    limit agrees with D_exact within 1e-4 relative ("signed", "absolute",
     "both" or "neither").  ``curves`` holds the labelled (abscissa, value)
     series behind the scalar summaries.
     """
@@ -530,6 +533,7 @@ class ClosenessReport:
     spec: ProcessSpec
     fixed_point: FixedPoint
     D_hat: float
+    D_exact: float
     D_formula_signed: float
     D_formula_abs: float
     beta_hat: float
@@ -555,10 +559,10 @@ class ClosenessReport:
         raise CoverageError(f"no curve labelled {label!r}")
 
 
-def _candidate_name(d_hat: float, signed: float, absolute: float, scale: float) -> str:
-    tol = max(_REL_MATCH * abs(d_hat), 1e-8 * scale)
-    matches_signed = abs(signed - d_hat) <= tol
-    matches_abs = abs(absolute - d_hat) <= tol
+def _candidate_name(limit: float, signed: float, absolute: float, scale: float) -> str:
+    tol = max(_REL_MATCH * abs(limit), 1e-8 * scale)
+    matches_signed = abs(signed - limit) <= tol
+    matches_abs = abs(absolute - limit) <= tol
     if matches_signed and matches_abs:
         return "both"
     if matches_signed:
@@ -580,7 +584,7 @@ def closeness_report(
     j_sum: int = 2048,
     tol: Tolerance = Tolerance(),
 ) -> ClosenessReport:
-    """Run every closeness diagnostic on one spec with shared tables.
+    """Run every closeness diagnostic on one spec with one shared VTF.
 
     Defaults: offset probes 1e3/2e3/5e3/1e4, slope at lag 2 over levels
     2^0..2^10, spectral grid geomspace(1e-4, 1/2, 49), autocovariance grid
@@ -598,15 +602,14 @@ def closeness_report(
     )
     xg = np.geomspace(1e-4, 0.5, 49) if x_grid is None else x_grid
 
-    cover = max(probes[-1], max(lv) * int(slope_n), grid[-1] + 1)
-    view = vtf(acvf(spec, cover - 1, tol), cover)
+    view = VtfView(spec, tol)
 
     d_hat, evidence = vtf_offset(
         spec, fp, probes, stabilisation_tol, j_sum=j_sum, tol=tol, view=view
     )
     slope = ctf_convergence_slope(spec, fp, slope_n, lv, j_sum=j_sum, tol=tol, view=view)
     spectral = spectral_gap_profile(spec, fp, xg, tol)
-    gap = acvf_gap_profile(spec, fp, grid, tol, table=view.acvf)
+    gap = acvf_gap_profile(spec, fp, grid, tol)
 
     if evidence.converged:
         beta = 0.0
@@ -634,12 +637,13 @@ def closeness_report(
         spec=spec,
         fixed_point=fp,
         D_hat=d_hat,
+        D_exact=evidence.D_exact,
         D_formula_signed=evidence.D_formula_signed,
         D_formula_abs=evidence.D_formula_abs,
         beta_hat=beta,
         slope_hat=slope.slope_hat,
         matched_candidate=_candidate_name(
-            d_hat, evidence.D_formula_signed, evidence.D_formula_abs, fp.V
+            evidence.D_exact, evidence.D_formula_signed, evidence.D_formula_abs, fp.V
         ),
         offset_converged=evidence.converged,
         slope_saturated=slope.saturated,
@@ -653,6 +657,7 @@ def report_to_json(report: ClosenessReport) -> dict:
         "spec": spec_to_json(report.spec),
         "fixed_point": {"H": report.fixed_point.H.H, "V": report.fixed_point.V},
         "D_hat": report.D_hat,
+        "D_exact": report.D_exact,
         "D_formula_signed": report.D_formula_signed,
         "D_formula_abs": report.D_formula_abs,
         "beta_hat": report.beta_hat,

@@ -35,7 +35,7 @@ from .errors import ConvergenceError, CoverageError, DomainError
 from .kernel_special import Tolerance
 from .process_model import spec_from_json, spec_to_json, spectrum
 from .sampler import sample, sample_many
-from .vtf_aggregation import aggregate_ctf, aggregate_vtf, vtf
+from .vtf_aggregation import VtfView, _lags, aggregate_ctf, aggregate_vtf
 
 def _load_spec(path: str):
     try:
@@ -128,11 +128,6 @@ def cmd_spectrum(args) -> None:
     _emit(args, ("x", "f"), list(zip(xs.tolist(), np.asarray(values).tolist())))
 
 
-def _aggregated_view(spec, n_max: int, m: int, tol: Tolerance):
-    table = acvf(spec, max(1, m * (n_max + 1)), tol)
-    return vtf(table, m * (n_max + 1))
-
-
 def cmd_acvf(args) -> None:
     spec = _load_spec(args.spec)
     tol = _tolerance(args)
@@ -142,10 +137,11 @@ def cmd_acvf(args) -> None:
         table = acvf(spec, n_max, tol)
         rows = [(n, table.gamma(n)) for n in range(n_max + 1)]
     else:
-        agg = aggregate_vtf(_aggregated_view(spec, n_max, m, tol), m)
+        _lags(n_max + 1, m)  # the 2^53 guard, before any lag array is built
+        w = aggregate_vtf(VtfView(spec, tol), m).omega(np.arange(n_max + 2))
         # Second difference of the aggregated variance-time curve.
-        rows = [(0, agg.omega(1))]
-        rows += [(n, (agg.omega(n + 1) - 2 * agg.omega(n) + agg.omega(n - 1)) / 2) for n in range(1, n_max + 1)]
+        second = (w[2:] - 2 * w[1:-1] + w[:-2]) / 2
+        rows = [(0, w[1])] + list(zip(range(1, n_max + 1), second.tolist()))
     _emit(args, ("n", "value"), rows)
 
 
@@ -154,8 +150,10 @@ def cmd_vtf(args) -> None:
     tol = _tolerance(args)
     n_max = _positive_int(args, "nmax")
     m = _positive_int(args, "m")
-    agg = aggregate_vtf(_aggregated_view(spec, n_max, m, tol), m)
-    _emit(args, ("n", "value"), [(n, agg.omega(n)) for n in range(1, n_max + 1)])
+    _lags(n_max, m)  # the 2^53 guard, before any lag array is built
+    ns = np.arange(1, n_max + 1)
+    values = aggregate_vtf(VtfView(spec, tol), m).omega(ns)
+    _emit(args, ("n", "value"), list(zip(ns.tolist(), values.tolist())))
 
 
 def cmd_ctf(args) -> None:
@@ -163,8 +161,10 @@ def cmd_ctf(args) -> None:
     tol = _tolerance(args)
     n_max = _positive_int(args, "nmax")
     m = _positive_int(args, "m")
-    view = _aggregated_view(spec, n_max, m, tol)
-    _emit(args, ("n", "value"), [(n, aggregate_ctf(view, m, n)) for n in range(1, n_max + 1)])
+    _lags(n_max, m)  # the 2^53 guard, before any lag array is built
+    ns = np.arange(1, n_max + 1)
+    values = aggregate_ctf(VtfView(spec, tol), m, ns)
+    _emit(args, ("n", "value"), list(zip(ns.tolist(), values.tolist())))
 
 
 def cmd_closeness(args) -> None:

@@ -2,26 +2,26 @@
 
 The variance-time function omega(n) is the variance of an n-term partial
 sum, i.e. the double integration operator applied to the autocovariance.
-Aggregation at level m is a pure index/scale transform on omega:
+Every spec has it in closed form, evaluated on whole lag arrays with no
+table.  Aggregation at level m is a pure index/scale transform on omega:
 omega^(m)(n) = omega(mn) / m^2 for the block-mean process and
-rho^(m)(n) = omega(mn) / omega(m) for its correlation-time function, so
-aggregated views are computed on demand from the base table.  Sums are
-compensated throughout: downstream diagnostics read tiny differences of
-large omega values.
+rho^(m)(n) = omega(mn) / omega(m) for its correlation-time function.
+The compensated prefix sums of :func:`double_integrate` remain as the
+independent cross-check of the exchange identity behind the closed form.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bernoulli, gammaln
 
-from .covariance_engine import AcvfTable
-from .errors import CoverageError, DomainError
-from .kernel_special import HurstParam, _as_hurst
-from .process_model import ProcessSpec, matched_fgn
+from .covariance_engine import _DIRECT_CUTOFF, _driver_acvf, _fgn_block
+from .errors import DomainError
+from .kernel_special import HurstParam, Tolerance, _as_hurst
+from .process_model import Fgn, FracDiff, ProcessSpec, Sum, matched_fgn
 
 __all__ = [
     "VtfView",
@@ -34,6 +34,8 @@ __all__ = [
     "aggregate_ctf",
     "conv_double_int_identity_check",
 ]
+
+_LAG_LIMIT = 2**53
 
 
 def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -48,16 +50,14 @@ def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
 class _PrefixState:
     """Compensated running sums A = sum gamma(k), B = sum k gamma(k)."""
 
-    __slots__ = ("a", "a_c", "b", "b_c", "next_k")
+    __slots__ = ("a", "a_c", "b", "b_c")
 
     def __init__(self) -> None:
         self.a = self.a_c = self.b = self.b_c = 0.0
-        self.next_k = 1
 
     def absorb(self, k: int, gamma_k: float) -> None:
         self.a, self.a_c = _neumaier_add(self.a, self.a_c, gamma_k)
         self.b, self.b_c = _neumaier_add(self.b, self.b_c, k * gamma_k)
-        self.next_k = k + 1
 
     def omega(self, n: int, gamma0: float) -> float:
         # omega(n) = n gamma(0) + 2 (n A - B), combined in one exact fsum so
@@ -67,81 +67,139 @@ class _PrefixState:
         )
 
 
-class VtfView:
-    """Cached variance-time function omega(0..n_max) over an AcvfTable.
+class _Farima00:
+    """omega and offset of FARIMA(0,d,0) with unit innovations, -1/2 < d < 1/2.
 
-    omega(n) is even in n and omega(0) = 0.  :meth:`extend` grows the cache
-    (extending the underlying autocovariance table as needed) under a lock;
-    reads are safe from any thread.
+    Hosking's (1981) autocovariance telescopes in the double sum:
+    omega(m) = V R(m) + D, R(m) = Gamma(m+1+d)/Gamma(m-d),
+    V = Gamma(1-2d)/((1+2d) Gamma(1+d) Gamma(1-d)), D = d gamma(0)/(1+2d).
+    Up to m = 16, R(m)/R(1) is the product of (k+1+d)/(k-d), k < m, in
+    extended precision.  Beyond, R(m) = m^(1+2d) exp(L(m)) with the large-m
+    expansion L(m) = sum_{k=2,4,..,12} 2 B_{k+1}(-d)/(k (k+1) m^k) (DLMF
+    5.11.13; Tricomi & Erdelyi 1951), so the offset omega(m) - V m^(1+2d)
+    is V m^(1+2d) expm1(L(m)) + D, which cancels nothing.
     """
 
-    def __init__(self, acvf: AcvfTable, n_max: int):
-        if n_max < 0:
-            raise DomainError(f"n_max must be nonnegative, got {n_max}")
-        if acvf.n_max < n_max - 1:
-            raise CoverageError(
-                f"autocovariance table covers lags up to {acvf.n_max}, need {n_max - 1}"
-            )
-        self.acvf = acvf
-        self._lock = threading.Lock()
-        self._state = _PrefixState()
-        values = self._advance(0, n_max)
-        values.flags.writeable = False
-        self._values = values
+    def __init__(self, d: float):
+        self.a = 1.0 + 2.0 * d
+        gamma0 = math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
+        self.V = math.exp(gammaln(1.0 - 2.0 * d) - gammaln(1.0 + d) - gammaln(1.0 - d)) / self.a
+        self.D = d * gamma0 / self.a
+        # (1+2d) omega(m)/gamma(0) = (1+d) R(m)/R(1) + d; omega(1) = gamma(0) exactly.
+        k = np.arange(1, _DIRECT_CUTOFF, dtype=np.longdouble)
+        scaled = (1.0 + d) * np.concatenate(([1.0], np.cumprod((k + 1.0 + d) / (k - d)))) + d
+        self._small = np.concatenate(([0.0], (gamma0 * scaled / scaled[0]).astype(np.float64)))
+        b = bernoulli(13)
+        self._series = []  # coefficients of L in 1/m^2, highest power first
+        for k in range(12, 0, -2):
+            b_poly = math.fsum(math.comb(k + 1, j) * b[j] * (-d) ** (k + 1 - j) for j in range(k + 2))
+            self._series.append(2.0 * b_poly / (k * (k + 1)))  # b_poly = B_{k+1}(-d)
 
-    def _advance(self, lo: int, hi: int) -> np.ndarray:
-        # Emit omega(lo..hi), absorbing exactly the gammas up to n - 1 so the
-        # prefix state stays resumable for later extension.
-        state = self._state
-        gamma = self.acvf.values
-        out = np.empty(hi - lo + 1)
-        for idx, n in enumerate(range(lo, hi + 1)):
-            if n == 0:
-                out[idx] = 0.0
-                continue
-            while state.next_k <= n - 1:
-                state.absorb(state.next_k, float(gamma[state.next_k]))
-            out[idx] = state.omega(n, float(gamma[0]))
+    def values(self, m: np.ndarray, offset: bool) -> np.ndarray:
+        """omega(m), or offset(m) if ``offset``, for an array of integers m >= 0."""
+        out = np.empty(m.shape)
+        small = m <= _DIRECT_CUTOFF
+        ms = m[small]
+        out[small] = self._small[ms] - (self.V * ms.astype(np.float64) ** self.a if offset else 0.0)
+        x = m[~small].astype(np.float64)
+        u, log_ratio = 1.0 / (x * x), np.zeros(x.shape)
+        for c in self._series:
+            log_ratio = (log_ratio + c) * u
+        ratio = np.expm1(log_ratio) if offset else np.exp(log_ratio)
+        out[~small] = self.V * x**self.a * ratio + self.D
         return out
 
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
 
-    @property
-    def n_max(self) -> int:
-        return len(self._values) - 1
+def _lags(n, scale: int = 1) -> np.ndarray:
+    """scale |n| as an int64 array of n's shape; beyond 2^53 raises DomainError."""
+    arr = np.asarray(n)
+    if arr.dtype.kind not in "iu":
+        arr = arr.astype(np.float64)
+        if not np.all(np.mod(arr, 1.0) == 0.0):
+            raise DomainError("lags must be integers")
+    top = int(scale) * max([1, int(np.max(arr)), -int(np.min(arr))] if arr.size else [1])
+    if top > _LAG_LIMIT:
+        raise DomainError(f"lag {top} exceeds 2^53 = {_LAG_LIMIT}; lags beyond it are inexact in float64")
+    return int(scale) * np.abs(arr).astype(np.int64)
+
+
+class VtfView:
+    """Variance-time function omega(n) of a spec, in closed form at any lag.
+
+    ``omega(n)`` and ``offset(n)`` = omega(n) - V |n|^(2H) (not formed as
+    that difference) take integers up to 2^53 or arrays of them; both are
+    even and vanish at 0.  ``D`` is the offset's exact limit, infinite when
+    a Sum component has a smaller H.  ``H`` is the spec's (a Sum's largest)
+    Hurst exponent and ``V`` the exact growth constant, which may differ
+    from the matched fGn variance in the last digits.  Fgn is V |n|^(2H); a
+    FracDiff combines 2K+1 FARIMA(0,d,0) values through the driver
+    autocovariance gamma_h(0..K) of :func:`acvf`; a Sum weights the views
+    it keeps in ``components`` (empty for other specs).
+    """
+
+    def __init__(self, spec: ProcessSpec, tol: Tolerance = Tolerance()):
+        self.spec = spec
+        self.components: tuple[VtfView, ...] = ()
+        if isinstance(spec, Fgn):
+            self.H, self.V, self.D = spec.H, spec.V, 0.0
+        elif isinstance(spec, FracDiff):
+            if spec.H.d >= 0.5:
+                raise DomainError("FracDiff needs H < 1 for a stationary autocovariance")
+            # By the exchange identity for gamma = gamma_h * gamma_F, omega(n) =
+            # sum_{|k|<=K} gamma_h(k) omega_F(|n+k|) - C, C = sum_k gamma_h(k) omega_F(|k|).
+            unit, gh = self._unit, self._gh = _Farima00(spec.H.d), _driver_acvf(spec.driver, tol)
+            self._c = 2.0 * math.fsum(gh[1:] * unit.values(np.arange(1, len(gh)), False))
+            h0 = float(gh[0] + 2.0 * np.sum(gh[1:]))  # sum over |k| <= K
+            self.H, self.V, self.D = spec.H, h0 * unit.V, h0 * unit.D - self._c
+        elif isinstance(spec, Sum):
+            self.components = tuple(VtfView(comp, tol) for comp, _ in spec.components)
+            self.H = max((p.H for p in self.components), key=lambda h: h.H)
+            top = [(p, w) for p, (_, w) in zip(self.components, spec.components) if p.H == self.H]
+            self.V = sum(w * p.V for p, w in top)
+            self.D = sum(w * p.D for p, w in top) if len(top) == len(self.components) else math.inf
+        else:
+            raise DomainError(f"unknown process spec {type(spec).__name__}")
+
+    def _values(self, n: np.ndarray, offset: bool) -> np.ndarray:
+        spec = self.spec
+        if isinstance(spec, Fgn):
+            return np.zeros(n.shape) if offset else spec.V * n.astype(np.float64) ** (2.0 * spec.H.H)
+        if isinstance(spec, FracDiff):
+            gh, unit = self._gh, self._unit
+            k_top = len(gh) - 1
+            out = sum(gh[abs(k)] * unit.values(np.abs(n + k), offset) for k in range(-k_top, k_top + 1))
+            if offset:
+                # Splitting omega_F = V_F m^a + offset_F leaves V_F sum_k
+                # gamma_h(k) (|n+k|^a - n^a): k^a times the unit fGn
+                # autocovariance at n/k, whose 1/n^2 series cancels nothing.
+                out = out + 2.0 * unit.V * sum(
+                    gh[k] * k**unit.a * _fgn_block(spec.H.H, 1.0, n / k) for k in range(1, k_top + 1)
+                )
+            return out - self._c
+        # A component below the top H contributes its whole omega to the offset.
+        parts = zip(self.components, spec.components)
+        return sum(w * p._values(n, offset and p.H == self.H) for p, (_, w) in parts)
+
+    def _evaluate(self, n, offset: bool):
+        lags = np.atleast_1d(_lags(n))
+        out = self._values(lags, offset)
+        out[lags == 0] = 0.0  # the empty sum, whatever a driver sum rounds to
+        return float(out[0]) if np.ndim(n) == 0 else out
+
+    def omega(self, n):
+        return self._evaluate(n, False)
+
+    def offset(self, n):
+        return self._evaluate(n, True)
 
     @property
     def variance(self) -> float:
         return self.omega(1)
 
-    def omega(self, n: int) -> float:
-        k = abs(int(n))
-        values = self._values
-        if k >= len(values):
-            raise CoverageError(f"lag {n} beyond cached n_max {len(values) - 1}")
-        return float(values[k])
 
-    def extend(self, n_max: int) -> "VtfView":
-        with self._lock:
-            if n_max > self.n_max:
-                self.acvf.extend(n_max - 1)
-                block = self._advance(self.n_max + 1, n_max)
-                merged = np.concatenate((self._values, block))
-                merged.flags.writeable = False
-                self._values = merged
-        return self
-
-
-def vtf(acvf: AcvfTable, n_max: int) -> VtfView:
-    """Variance-time function omega(0..n_max) of a covariance table.
-
-    Uses the O(n) prefix-sum form omega(n) = n gamma(0) +
-    2 sum_{k<n} (n - k) gamma(k) with compensated accumulation; requires
-    the table to cover lags 0..n_max-1.
-    """
-    return VtfView(acvf, n_max)
+def vtf(spec: ProcessSpec, tol: Tolerance = Tolerance()) -> VtfView:
+    """Variance-time function omega(n) of a spec, evaluated in closed form."""
+    return VtfView(spec, tol)
 
 
 @dataclass(frozen=True)
@@ -150,7 +208,7 @@ class CtfView:
 
     vtf: VtfView
 
-    def rho(self, n: int) -> float:
+    def rho(self, n):
         return self.vtf.omega(n) / self.vtf.variance
 
 
@@ -190,15 +248,11 @@ class AggregatedVtf:
             raise DomainError(f"aggregation level must be >= 1, got {self.m}")
 
     @property
-    def n_max(self) -> int:
-        return self.base.n_max // self.m
-
-    @property
     def variance(self) -> float:
         return self.omega(1)
 
-    def omega(self, n: int) -> float:
-        return self.base.omega(self.m * int(n)) / (self.m * self.m)
+    def omega(self, n):
+        return self.base.omega(_lags(n, self.m)) / (self.m * self.m)
 
 
 def aggregate_vtf(v: VtfView, m: int) -> AggregatedVtf:
@@ -206,11 +260,11 @@ def aggregate_vtf(v: VtfView, m: int) -> AggregatedVtf:
     return AggregatedVtf(v, m)
 
 
-def aggregate_ctf(v: VtfView, m: int, n: int) -> float:
+def aggregate_ctf(v: VtfView, m: int, n):
     """Correlation-time function of the level-m aggregate: omega(mn)/omega(m)."""
     if m < 1:
         raise DomainError(f"aggregation level must be >= 1, got {m}")
-    return v.omega(m * int(n)) / v.omega(m)
+    return v.omega(_lags(n, m)) / v.omega(m)
 
 
 def double_integrate(a) -> np.ndarray:

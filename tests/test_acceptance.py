@@ -48,7 +48,7 @@ def test_criterion_01_fixed_point_exactness():
     worst = 0.0
     for h in (0.6, 0.8, 0.95):
         spec = Fgn(HurstParam(h), 1.3)
-        view = vtf(acvf(spec, 1000), 1000)
+        view = vtf(spec)
         for m in range(1, 101):
             for n in range(1, 11):
                 gap = abs(aggregate_ctf(view, m, n) - float(n) ** (2 * h))

@@ -28,7 +28,7 @@ from lrdlab.asymptotics_lab import (
     spectral_gap_profile,
     vtf_offset,
 )
-from lrdlab import covariance_engine
+from lrdlab import vtf_aggregation
 from lrdlab.covariance_engine import acvf
 from lrdlab.errors import CoverageError, DomainError
 from lrdlab.kernel_special import HurstParam
@@ -74,6 +74,7 @@ class TestVtfOffset:
         # Two independent routes to the same constant: extrapolation of the
         # n^(2H-2) transient vs the weighted coefficient sum.
         _, ev = vtf_offset(FARIMA03, _fp(FARIMA03), (200, 400, 800, 1600))
+        assert ev.D_exact == pytest.approx(D_SIGNED_ORACLE, rel=1e-14)
         assert ev.D_formula_signed == pytest.approx(D_SIGNED_ORACLE, rel=1e-9)
         assert ev.limit_fitted == pytest.approx(ev.D_formula_signed, rel=1e-5)
         assert ev.rate_coefficient == pytest.approx(RATE_ORACLE, abs=2e-3)
@@ -264,19 +265,20 @@ class TestBrittleness:
             assert abs(res.ratio("perturbed", 100, n) - 1.0) > abs(res.ratio("base", 100, n) - 1.0)
 
     def test_base_quadrature_runs_once(self, monkeypatch):
-        # The base table is read off the perturbed Sum, not built again.
+        # The base VTF is read off the perturbed Sum, not built again, so
+        # the base driver's autocovariance grid runs once.
         stock = builtin_experiment(2)
         exp = BrittlenessExperiment(stock.base, stock.noise, stock.weight, levels=(1, 2), lags=(1, 2))
-        builds = []
-        builder_for = covariance_engine._builder_for
+        drivers = []
+        driver_acvf = vtf_aggregation._driver_acvf
 
-        def counted(spec, *args, **kwargs):
-            builds.append(spec)
-            return builder_for(spec, *args, **kwargs)
+        def counted(driver, *args, **kwargs):
+            drivers.append(driver)
+            return driver_acvf(driver, *args, **kwargs)
 
-        monkeypatch.setattr(covariance_engine, "_builder_for", counted)
+        monkeypatch.setattr(vtf_aggregation, "_driver_acvf", counted)
         res = run_brittleness(exp)
-        assert builds.count(stock.base) == 1
+        assert drivers.count(stock.base.driver) == 1
         assert len(res.rows) == 8
 
     def test_series_accessor(self):
@@ -311,9 +313,10 @@ class TestClosenessReport:
         assert rep.D_formula_signed > 0.0 > rep.D_formula_abs
         assert not rep.offset_converged
         assert not rep.slope_saturated
-        # At finite probe scale the raw endpoint still carries its
-        # transient, so neither closed form matches at 1e-4 relative.
-        assert rep.matched_candidate == "neither"
+        # The 1e-4 rule reads the exact limit, not the raw endpoint, which
+        # still carries its transient: only the signed form matches.
+        assert rep.D_exact == pytest.approx(D_SIGNED_ORACLE, rel=1e-14)
+        assert rep.matched_candidate == "signed"
 
     def test_curves_and_accessor(self, farima_report):
         labels = [label for label, _ in farima_report.curves]
@@ -328,7 +331,8 @@ class TestClosenessReport:
         back = json.loads(blob)
         assert spec_from_json(back["spec"]) == FARIMA03
         assert back["fixed_point"]["H"] == 0.8
-        assert back["matched_candidate"] == "neither"
+        assert back["D_exact"] == farima_report.D_exact
+        assert back["matched_candidate"] == "signed"
         assert set(back["curves"]) == {"vtf_offset", "ctf_gap", "spectral_gap", "acvf_gap"}
 
     def test_csv_rows(self, farima_report):
@@ -354,13 +358,14 @@ class TestClosenessReport:
         assert rep.beta_hat == 0.0
         assert rep.slope_saturated
         assert rep.slope_hat == 0.0
+        assert rep.D_exact == 0.0
         assert rep.matched_candidate == "both"
 
     def test_invariants_enforced(self, farima_report):
         rep = farima_report
         base = dict(
             spec=rep.spec, fixed_point=rep.fixed_point, D_hat=rep.D_hat,
-            D_formula_signed=rep.D_formula_signed, D_formula_abs=rep.D_formula_abs,
+            D_exact=rep.D_exact, D_formula_signed=rep.D_formula_signed, D_formula_abs=rep.D_formula_abs,
             beta_hat=rep.beta_hat, slope_hat=rep.slope_hat,
             matched_candidate=rep.matched_candidate,
             offset_converged=rep.offset_converged,

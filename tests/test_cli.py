@@ -102,6 +102,15 @@ class TestTableCommands:
         for (_, g), (_, gm) in zip(base_rows, agg_rows):
             assert float(gm) == pytest.approx(scale * float(g), rel=1e-10)
 
+    def test_lags_beyond_2_53_exit_two_naming_the_limit(self, tmp_path, capsys):
+        # Each request is refused before any lag array is allocated.
+        spec = write_spec(tmp_path, FGN08)
+        for command, nmax, m in (("vtf", 1, 2**54), ("ctf", 2**60, 1), ("acvf", 1, 2**53)):
+            rc, out, err = run([command, "--spec", spec, "--nmax", str(nmax), "--m", str(m)], capsys)
+            assert rc == 2
+            assert out == ""
+            assert "2^53" in err
+
     def test_seventeen_significant_digits_round_trip(self, tmp_path, capsys):
         rc, out, _ = run(["acvf", "--spec", write_spec(tmp_path, FGN08), "--nmax", "2"], capsys)
         _, rows = parse_csv(out)

@@ -1,21 +1,29 @@
 """Variance-time functions, aggregation transforms, and the exchange identity.
 
-The O(n) prefix-sum evaluation is checked against the literal O(n^2)
-double sum; aggregation is checked against closed forms on the fixed
-point; the convolution/double-integration identity is brute-forced on
-random finite-support sequences.
+The closed-form evaluator is checked against the literal O(n^2) double
+sum of the autocovariance table, against the compensated prefix sums over
+random specs, and against 40-digit mpmath for FARIMA(0,d,0) and an ARMA
+driver; aggregation is checked against closed forms on the fixed point;
+the convolution/double-integration identity is brute-forced on random
+finite-support sequences.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import f_alpha
-from lrdlab.covariance_engine import acvf, farima00_acvf
-from lrdlab.errors import CoverageError, DomainError
+from lrdlab import cli
+from lrdlab import vtf_aggregation
+from lrdlab.asymptotics_lab import builtin_experiment, closeness_report, run_brittleness
+from lrdlab.covariance_engine import acvf
+from lrdlab.errors import DomainError
 from lrdlab.kernel_special import HurstParam
-from lrdlab.process_model import Fexp, Fgn, FracDiff, Sum, WhiteNoise, matched_fgn
+from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, Sum, WhiteNoise, matched_fgn
 from lrdlab.vtf_aggregation import (
     AggregatedVtf,
     CtfView,
@@ -31,33 +39,45 @@ from lrdlab.vtf_aggregation import (
 # V = 1 / (2 pi C(0.8)), frozen from the closed form.
 MATCHED_V_FARIMA03 = 1.190033849208883
 
+ARMA_31_7 = Arma((0.3,), (0.7,), 1.0)
+
+# h(0) D_F - 2 sum_{k>=1} gamma_h(k) omega_F(k) for FracDiff(0.8, ARMA(0.3, 0.7))
+# with unit innovations, from the exact ARMA(1,1) autocovariance and the
+# telescoped FARIMA(0,0.3,0) VTF in 40-digit mpmath; recomputed below.
+ARMA_LIMIT_OFFSET = "-8.0950839646429464927"
+
 
 def _literal_vtf(gamma, n: int) -> float:
     return math.fsum(gamma[abs(i - j)] for i in range(n) for j in range(n))
 
 
 def test_white_noise_vtf_is_linear():
-    v = vtf(acvf(Fgn(HurstParam(0.5), 1.0), 99), 100)
-    assert np.array_equal(v.values, np.arange(101, dtype=np.float64) * 1.0)
+    v = vtf(Fgn(HurstParam(0.5), 1.0))
+    assert np.array_equal(v.omega(np.arange(101)), np.arange(101, dtype=np.float64) * 1.0)
     assert v.omega(0) == 0.0
     assert v.variance == 1.0
 
 
 def test_fgn_vtf_is_the_fixed_point():
     spec = Fgn(HurstParam(0.8), 1.0)
-    v = vtf(acvf(spec, 99), 100)
+    v = vtf(spec)
     assert v.omega(4) == pytest.approx(4.0**1.6, rel=1e-12)
     for n in range(1, 101):
         assert v.omega(n) == pytest.approx(float(n) ** 1.6, rel=1e-12)
+    assert (v.H, v.V, v.D) == (HurstParam(0.8), 1.0, 0.0)
+    assert np.array_equal(v.offset(np.arange(-5, 1000)), np.zeros(1005))
 
 
 def test_vtf_small_identities_and_symmetry():
-    tab = acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 63)
-    v = vtf(tab, 64)
+    spec = FracDiff(HurstParam(0.8), WhiteNoise(1.0))
+    tab = acvf(spec, 63)
+    v = vtf(spec)
     assert v.omega(0) == 0.0
     assert v.omega(1) == tab.gamma(0)
     assert v.omega(2) == pytest.approx(2.0 * tab.gamma(0) + 2.0 * tab.gamma(1), rel=1e-15)
     assert v.omega(-5) == v.omega(5)
+    assert v.offset(-40) == v.offset(40)
+    assert v.offset(0) == 0.0
 
 
 def test_vtf_matches_literal_double_sum():
@@ -65,33 +85,148 @@ def test_vtf_matches_literal_double_sum():
         Fgn(HurstParam(0.8), 1.3),
         FracDiff(HurstParam(0.8), WhiteNoise(1.0)),
         Sum(((FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 1.0), (Fgn(HurstParam(0.5), 1.0), 0.1))),
+        FracDiff(HurstParam(0.8), ARMA_31_7),
+        FracDiff(HurstParam(0.8), Fexp((0.5, -0.3))),
+        FracDiff(HurstParam(0.4), ARMA_31_7),
+        FracDiff(HurstParam(0.5), ARMA_31_7),
     ]
     for spec in specs:
         tab = acvf(spec, 63)
-        v = vtf(tab, 64)
-        for n in (1, 2, 3, 7, 16, 33, 64):
-            want = _literal_vtf(tab.values, n)
-            assert v.omega(n) == pytest.approx(want, rel=1e-12)
+        v = vtf(spec)
+        ns = np.array([1, 2, 3, 7, 16, 17, 33, 64])
+        omega, offset = v.omega(ns), v.offset(ns)
+        for n, w, off in zip(ns, omega, offset):
+            want = _literal_vtf(tab.values, int(n))
+            assert w == pytest.approx(want, rel=1e-12)
+            assert off == pytest.approx(want - v.V * float(n) ** (2.0 * v.H.H), abs=1e-12 * want)
 
 
 def test_vtf_monotone_nonnegative_for_lrd():
-    v = vtf(acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 199), 200)
-    diffs = np.diff(v.values)
-    assert np.all(v.values >= 0.0)
+    values = vtf(FracDiff(HurstParam(0.8), WhiteNoise(1.0))).omega(np.arange(201))
+    diffs = np.diff(values)
+    assert np.all(values >= 0.0)
     assert np.all(diffs > 0.0)
 
 
-def test_vtf_coverage_and_extension():
-    tab = acvf(Fgn(HurstParam(0.8), 1.0), 9)
-    with pytest.raises(CoverageError):
-        vtf(tab, 11)
-    v = vtf(tab, 10)
-    with pytest.raises(CoverageError, match="11"):
-        v.omega(11)
-    v.extend(50)
-    assert v.n_max == 50
-    fresh = vtf(acvf(Fgn(HurstParam(0.8), 1.0), 49), 50)
-    assert np.allclose(v.values, fresh.values, rtol=0.0, atol=0.0)
+def _mp_farima00(d):
+    """(V, D, omega) of unit FARIMA(0,d,0) in mpmath, omega checked on n <= 40.
+
+    Up to n = 40 omega is the literal double sum of Hosking's
+    autocovariance gamma(k) = gamma(k-1) (k-1+d)/(k-d); beyond it is the
+    telescoped form V Gamma(n+1+d)/Gamma(n-d) + D, which the literal sum
+    confirms first.
+    """
+    d = mp.mpf(d)
+    gamma = [mp.gamma(1 - 2 * d) / mp.gamma(1 - d) ** 2]
+    for k in range(1, 40):
+        gamma.append(gamma[-1] * (k - 1 + d) / (k - d))
+    V = mp.gamma(1 - 2 * d) / ((1 + 2 * d) * mp.gamma(1 + d) * mp.gamma(1 - d))
+    D = d * gamma[0] / (1 + 2 * d)
+
+    def telescoped(n):
+        return V * mp.rf(n - d, 1 + 2 * d) + D
+
+    literal = [n * gamma[0] + 2 * mp.fsum((n - k) * gamma[k] for k in range(1, n)) for n in range(1, 41)]
+    for n, w in enumerate(literal, start=1):
+        assert abs(telescoped(n) - w) <= mp.mpf(10) ** -35 * w
+
+    return V, D, lambda n: literal[n - 1] if n <= 40 else telescoped(n)
+
+
+@pytest.mark.parametrize("d", [-0.3, 0.0, 0.05, 0.3, 0.44, 0.49])
+def test_farima00_vtf_within_1e_14_of_mpmath(d):
+    ns = list(range(1, 41)) + [10**3, 10**6, 10**9, 10**12]
+    spec = FracDiff(HurstParam(0.5 + d), WhiteNoise(1.0))
+    v = vtf(spec)
+    omega, offset = v.omega(ns), v.offset(ns)
+    with mp.workdps(40):
+        # The reference takes the spec's own d = H - 1/2, rounded as stored.
+        V, D, omega_mp = _mp_farima00(spec.H.d)
+        assert abs(v.D - D) <= 4 * math.ulp(float(D))
+        for n, w, off in zip(ns, omega, offset):
+            want = omega_mp(n)
+            want_off = want - V * mp.mpf(n) ** (1 + 2 * mp.mpf(spec.H.d))
+            assert abs(w - want) <= 1e-14 * want, (d, n)
+            # Below the series crossover the offset is a difference, so its
+            # error is measured against omega.
+            scale = want if n <= 16 else abs(want_off)
+            assert abs(off - want_off) <= 1e-14 * scale, (d, n)
+
+
+def test_arma_limit_offset_against_mpmath():
+    with mp.workdps(40):
+        phi, theta = mp.mpf("0.3"), mp.mpf("0.7")
+        V_F, D_F, omega_F = _mp_farima00(mp.mpf("0.3"))
+        gamma1 = (1 + phi * theta) * (phi + theta) / (1 - phi**2)  # then gamma_h(k) = phi^(k-1) gamma_h(1)
+        h0 = (1 + theta) ** 2 / (1 - phi) ** 2
+        limit = h0 * D_F - 2 * mp.fsum(gamma1 * phi ** (k - 1) * omega_F(k) for k in range(1, 200))
+        assert abs(limit - mp.mpf(ARMA_LIMIT_OFFSET)) <= 1e-19
+    v = vtf(FracDiff(HurstParam(0.8), ARMA_31_7))
+    assert v.D == pytest.approx(float(ARMA_LIMIT_OFFSET), rel=1e-11)
+    assert v.V == pytest.approx(float(h0 * V_F), rel=1e-12)
+    # The offset tends to D; its n^(2H-2) transient is down to 1e-9 at n = 1e12.
+    assert v.offset(10**12) == pytest.approx(float(ARMA_LIMIT_OFFSET), rel=1e-5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.floats(0.05, 0.95),
+    scale=st.floats(0.1, 10.0),
+    kind=st.sampled_from(["fgn", "white", "arma"]),
+    n_max=st.integers(1, 500),
+)
+def test_vtf_matches_prefix_sums(h, scale, kind, n_max):
+    if kind == "fgn":
+        spec = Fgn(HurstParam(h), scale)
+    elif kind == "white":
+        spec = FracDiff(HurstParam(h), WhiteNoise(scale))
+    else:
+        spec = FracDiff(HurstParam(h), Arma((0.5,), (-0.2,), scale))
+    want = double_integrate(acvf(spec, n_max).values)
+    got = vtf(spec).omega(np.arange(n_max + 1))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_lags_beyond_2_53_are_named():
+    v = vtf(Fgn(HurstParam(0.8), 1.0))
+    assert v.omega(2**53) > 0.0
+    with pytest.raises(DomainError, match=r"2\^53"):
+        v.omega(2**53 + 1)
+    with pytest.raises(DomainError, match=r"2\^53"):
+        v.offset(-(2**60))
+    with pytest.raises(DomainError, match=r"2\^53"):
+        aggregate_vtf(v, 2**40).omega(2**14)
+    with pytest.raises(DomainError, match="integers"):
+        v.omega(1.5)
+
+
+def test_sum_view_weights_components_built_once():
+    base = FracDiff(HurstParam(0.8), WhiteNoise(1.0))
+    spec = Sum(((base, 1.0), (Fgn(HurstParam(0.5), 1.0), 0.1)))
+    v = vtf(spec)
+    ns = np.array([1, 10, 1000])
+    parts = v.components
+    assert [p.spec for p in parts] == [base, Fgn(HurstParam(0.5), 1.0)]
+    assert np.array_equal(v.omega(ns), parts[0].omega(ns) + 0.1 * parts[1].omega(ns))
+    # The white part grows like n against V n^1.6, so the limit is infinite.
+    assert (v.H, v.V, v.D) == (HurstParam(0.8), parts[0].V, math.inf)
+    assert np.array_equal(v.offset(ns), parts[0].offset(ns) + 0.1 * ns)
+    assert v.V == pytest.approx(matched_fgn(spec).V, rel=1e-14)
+
+
+def test_evaluator_needs_no_prefix_sums(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("prefix sums used")
+
+    monkeypatch.setattr(vtf_aggregation, "_PrefixState", refuse)
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"type": "fracdiff", "H": 0.8, "driver": {"type": "white", "sigma2": 1.0}}')
+    for command in ("vtf", "ctf"):
+        assert cli.main([command, "--spec", str(spec), "--nmax", "50", "--m", "3"]) == 0
+    capsys.readouterr()
+    report = closeness_report(FracDiff(HurstParam(0.8), WhiteNoise(1.0)))
+    assert report.matched_candidate == "signed"
+    assert len(run_brittleness(builtin_experiment(2)).rows) == 60
 
 
 def test_double_integrate_trivial_cases():
@@ -113,7 +248,7 @@ def test_double_integrate_matches_nested_loop_oracle():
 
 
 def test_ctf_normalisation():
-    v = vtf(acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 63), 64)
+    v = vtf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)))
     rho = CtfView(v)
     assert rho.rho(1) == 1.0
     assert rho.rho(10) == pytest.approx(v.omega(10) / v.omega(1), rel=1e-15)
@@ -138,7 +273,7 @@ def test_fixed_point_of_process_matches_frozen_variance():
 
 def test_aggregate_vtf_identity_and_fixed_point():
     spec = Fgn(HurstParam(0.8), 1.0)
-    v = vtf(acvf(spec, 999), 1000)
+    v = vtf(spec)
     agg1 = aggregate_vtf(v, 1)
     for n in (1, 5, 17):
         assert agg1.omega(n) == v.omega(n)
@@ -149,26 +284,28 @@ def test_aggregate_vtf_identity_and_fixed_point():
 
 
 def test_aggregate_vtf_white_noise_variance_decay():
-    v = vtf(acvf(Fgn(HurstParam(0.5), 1.0), 999), 1000)
+    v = vtf(Fgn(HurstParam(0.5), 1.0))
     for m in (1, 4, 25, 100):
         assert aggregate_vtf(v, m).variance == pytest.approx(1.0 / m, rel=1e-13)
 
 
 def test_aggregate_vtf_validation_and_coverage():
-    v = vtf(acvf(Fgn(HurstParam(0.8), 1.0), 99), 100)
+    v = vtf(Fgn(HurstParam(0.8), 1.0))
     with pytest.raises(DomainError):
         aggregate_vtf(v, 0)
+    with pytest.raises(DomainError):
+        aggregate_ctf(v, 0, 1)
+    # No table behind the view: every lag up to 2^53 is covered.
     agg = aggregate_vtf(v, 10)
-    assert agg.n_max == 10
-    with pytest.raises(CoverageError):
-        agg.omega(11)
+    assert isinstance(agg, AggregatedVtf)
+    assert np.array_equal(agg.omega(np.array([3, 11])), v.omega(np.array([30, 110])) / 100.0)
 
 
 def test_aggregate_ctf_fgn_self_similarity():
     # The fixed point is exactly invariant: rho^(m)(n) = n^(2H) for all m.
     for h in (0.6, 0.8):
         spec = Fgn(HurstParam(h), 1.0)
-        v = vtf(acvf(spec, 999), 1000)
+        v = vtf(spec)
         worst = 0.0
         for m in (1, 2, 5, 10, 31, 100):
             for n in range(1, 11):
@@ -180,8 +317,7 @@ def test_aggregate_ctf_fgn_self_similarity():
 
 
 def test_aggregate_ctf_farima_converges_to_power():
-    tab = acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 199)
-    v = vtf(tab, 200)
+    v = vtf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)))
     assert aggregate_ctf(v, 100, 2) == pytest.approx(2.0**1.6, abs=1e-3)
     assert aggregate_ctf(v, 1, 2) == CtfView(v).rho(2)
 
