@@ -13,10 +13,9 @@ shortfall or numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .asymptotics_lab import (
     report_to_json,
     run_brittleness,
 )
-from .covariance_engine import acvf
+from .covariance_engine import _fgn_block, acvf
 from .errors import ConvergenceError, CoverageError, DomainError
 from .kernel_special import Tolerance
 from .process_model import spec_from_json, spec_to_json, spectrum
@@ -89,25 +88,113 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _emit(args, header, rows, json_obj=None) -> None:
+def _csv_field(text: str) -> str:
+    # csv.writer's minimal quoting.
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# Values per bulk %-format call; bounds the memory one call holds.
+_CHUNK = 1 << 16
+
+
+def _bulk(template: str, count: int, width: int, values):
+    """Yield template % item for count items, one %-format call per chunk.
+
+    ``values(start, stop)`` returns the width values of items start..stop-1
+    as one flat tuple.
+    """
+    step = max(1, _CHUNK // max(1, width))
+    for start in range(0, count, step):
+        stop = min(count, start + step)
+        yield (template * (stop - start)) % values(start, stop)
+
+
+def _csv_chunks(header, columns):
+    """CSV text: ints as %d, floats as %.17g, other cells through _fmt.
+
+    Numeric numpy columns are formatted in bulk; any other column is a
+    sequence of cells formatted one by one, as csv.writer would quote them.
+    """
+    yield ",".join(_csv_field(h) for h in header) + "\n"
+    fields, cols = [], []
+    for col in columns:
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else ""
+        if kind in ("i", "u"):
+            fields.append("%d")
+        elif kind == "f":
+            fields.append("%.17g")
+        else:
+            fields.append("%s")
+            col = np.array([_csv_field(_fmt(v)) for v in col], dtype=object)
+        cols.append(col)
+    rows = len(cols[0]) if cols else 0
+
+    def values(start, stop):
+        return tuple(chain.from_iterable(zip(*(c[start:stop].tolist() for c in cols))))
+
+    yield from _bulk(",".join(fields) + "\n", rows, len(cols), values)
+
+
+def _json_array(arr: np.ndarray, level: int):
+    # A finite 1-D or 2-D numeric array formatted in bulk: "%r" gives the
+    # shortest repr that json writes; anything else goes item by item.
+    if not (arr.ndim in (1, 2) and arr.size and arr.dtype.kind in "fiu" and np.isfinite(arr).all()):
+        yield from _json_chunks(arr.tolist(), level)
+        return
+    pad1, pad2 = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    if arr.ndim == 1:
+        template, width = "," + pad1 + "%r", 1
+    else:
+        width = arr.shape[1]
+        template = "," + pad1 + "[" + pad2 + ("%r," + pad2) * (width - 1) + "%r" + pad1 + "]"
+    flat = arr.ravel()
+    chunks = _bulk(template, arr.shape[0], width, lambda a, b: tuple(flat[a * width : b * width].tolist()))
+    yield "[" + next(chunks)[1:]  # no separator before the first item
+    yield from chunks
+    yield "\n" + "  " * level + "]"
+
+
+def _json_chunks(obj, level: int = 0):
+    """Text of json.dumps(obj, indent=2, sort_keys=True), numpy arrays in bulk."""
+    if isinstance(obj, np.ndarray):
+        yield from _json_array(obj, level)
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        pad = "\n" + "  " * (level + 1)
+        if isinstance(obj, dict):
+            opening, closing = "{", "}"
+            items = ((json.dumps(k) + ": ", obj[k]) for k in sorted(obj))
+        else:
+            opening, closing = "[", "]"
+            items = (("", v) for v in obj)
+        for i, (key, value) in enumerate(items):
+            yield ("," if i else opening) + pad + key
+            yield from _json_chunks(value, level + 1)
+        yield "\n" + "  " * level + closing
+    else:
+        yield json.dumps(obj)
+
+
+def _emit(args, header, columns, json_obj=None) -> None:
+    """Write the columns as CSV, or json_obj as JSON.
+
+    Without json_obj the JSON is {"columns": header, "rows": the numeric
+    columns as float rows}.  Output is byte-for-byte what csv.writer over
+    _fmt cells and json.dumps(indent=2, sort_keys=True) write.
+    """
     if args.format == "json":
         if json_obj is None:
-            json_obj = {
-                "columns": list(header),
-                "rows": [[None if v is None else float(v) for v in row] for row in rows],
-            }
-        text = json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
+            rows = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
+            json_obj = {"columns": list(header), "rows": rows}
+        chunks = chain(_json_chunks(json_obj), ["\n"])
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue()
+        chunks = _csv_chunks(header, columns)
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_spectrum(args) -> None:
@@ -124,8 +211,7 @@ def cmd_spectrum(args) -> None:
         xs = np.geomspace(args.xmin, args.xmax, points)
     else:
         xs = np.linspace(args.xmin, args.xmax, points)
-    values = spectrum(spec, xs, tol)
-    _emit(args, ("x", "f"), list(zip(xs.tolist(), np.asarray(values).tolist())))
+    _emit(args, ("x", "f"), (xs, np.asarray(spectrum(spec, xs, tol), dtype=np.float64)))
 
 
 def cmd_acvf(args) -> None:
@@ -133,16 +219,22 @@ def cmd_acvf(args) -> None:
     tol = _tolerance(args)
     n_max = _positive_int(args, "nmax", 0)
     m = _positive_int(args, "m")
+    ns = np.arange(n_max + 1)
     if m == 1:
-        table = acvf(spec, n_max, tol)
-        rows = [(n, table.gamma(n)) for n in range(n_max + 1)]
+        values = acvf(spec, n_max, tol).values[: n_max + 1]
     else:
         _lags(n_max + 1, m)  # the 2^53 guard, before any lag array is built
-        w = aggregate_vtf(VtfView(spec, tol), m).omega(np.arange(n_max + 2))
-        # Second difference of the aggregated variance-time curve.
-        second = (w[2:] - 2 * w[1:-1] + w[:-2]) / 2
-        rows = [(0, w[1])] + list(zip(range(1, n_max + 1), second.tolist()))
-    _emit(args, ("n", "value"), rows)
+        view = VtfView(spec, tol)
+        h = view.H.H
+        # gamma^(m)(n) is the second difference of omega(mn)/(2 m^2).  Split
+        # omega = V N^(2H) + offset: the power part is m^(2H-2) times the
+        # fGn autocovariance, and only the offsets are differenced, which
+        # cancels nothing of size V (mn)^(2H).
+        o = view.offset(m * np.arange(n_max + 2))
+        o_prev = np.concatenate((o[1:2], o[:-2]))  # offset(m |n-1|)
+        power = m ** (2.0 * h - 2.0) * _fgn_block(h, view.V, ns)
+        values = power + (o[1:] - 2.0 * o[:-1] + o_prev) / (2.0 * m * m)
+    _emit(args, ("n", "value"), (ns, values))
 
 
 def cmd_vtf(args) -> None:
@@ -153,7 +245,7 @@ def cmd_vtf(args) -> None:
     _lags(n_max, m)  # the 2^53 guard, before any lag array is built
     ns = np.arange(1, n_max + 1)
     values = aggregate_vtf(VtfView(spec, tol), m).omega(ns)
-    _emit(args, ("n", "value"), list(zip(ns.tolist(), values.tolist())))
+    _emit(args, ("n", "value"), (ns, values))
 
 
 def cmd_ctf(args) -> None:
@@ -164,7 +256,7 @@ def cmd_ctf(args) -> None:
     _lags(n_max, m)  # the 2^53 guard, before any lag array is built
     ns = np.arange(1, n_max + 1)
     values = aggregate_ctf(VtfView(spec, tol), m, ns)
-    _emit(args, ("n", "value"), list(zip(ns.tolist(), values.tolist())))
+    _emit(args, ("n", "value"), (ns, values))
 
 
 def cmd_closeness(args) -> None:
@@ -173,7 +265,7 @@ def cmd_closeness(args) -> None:
     _emit(
         args,
         ("series_label", "m", "n", "value"),
-        closeness_csv_rows(report),
+        list(zip(*closeness_csv_rows(report))),
         json_obj=report_to_json(report),
     )
 
@@ -238,7 +330,7 @@ def cmd_brittle(args) -> None:
         "fixed_point": {"H": result.fixed_point.H.H, "V": result.fixed_point.V},
         "rows": [[label, float(m), float(n), float(v)] for label, m, n, v in rows],
     }
-    _emit(args, ("series_label", "m", "n", "value"), rows, json_obj=json_obj)
+    _emit(args, ("series_label", "m", "n", "value"), list(zip(*rows)), json_obj=json_obj)
 
 
 def cmd_sample(args) -> None:
@@ -251,14 +343,21 @@ def cmd_sample(args) -> None:
         paths = [sample(spec, n, seed, tol=tol)]
     else:
         paths = sample_many(spec, n, seed, count, tol=tol)
-    rows = [(i, t, v) for i, p in enumerate(paths) for t, v in enumerate(p.values.tolist())]
-    json_obj = {
-        "seed": seed,
-        "n": n,
-        "path_seeds": [p.seed for p in paths],
-        "paths": [p.values.tolist() for p in paths],
-    }
-    _emit(args, ("path", "t", "value"), rows, json_obj=json_obj)
+    if args.format == "json":
+        json_obj = {
+            "seed": seed,
+            "n": n,
+            "path_seeds": [p.seed for p in paths],
+            "paths": np.stack([p.values for p in paths]),
+        }
+        _emit(args, (), None, json_obj=json_obj)
+    else:
+        columns = (
+            np.repeat(np.arange(count), n),
+            np.tile(np.arange(n), count),
+            np.concatenate([p.values for p in paths]),
+        )
+        _emit(args, ("path", "t", "value"), columns)
 
 
 def _add_common(sub, *, spec_required=True, nmax_default=None, format_default="csv"):

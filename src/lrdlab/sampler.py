@@ -1,11 +1,13 @@
 """Exact Gaussian path synthesis by circulant embedding of the ACVF.
 
 The Toeplitz covariance of lags 0..N-1 embeds in a circulant matrix of
-size 2(N-1) whose eigenvalues are the FFT of its first row; a draw is one
-inverse FFT of independent complex normals weighted by the eigenvalue
-square roots.  The generator is counter-based, so identical (spec, seed,
-N) reproduce bit-for-bit and batch seeds expand deterministically into
-per-path seeds.
+any even size m >= 2(N-1) (Davies & Harte 1987; Dietrich & Newsam 1997)
+whose eigenvalues are the FFT of its first row; m is the smallest even
+5-smooth size, so the FFTs stay fast.  A draw is one inverse FFT of
+independent complex normals weighted by the eigenvalue square roots.
+The generator is counter-based, so identical (spec, seed, N) reproduce
+bit-for-bit and batch seeds expand deterministically into per-path
+seeds.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ _SEED_BOUND = 2**64
 _NEGLIGIBLE = 1e-10
 _SEVERE = 1e-4
 _MAX_RETRIES = 3
+
+# Largest circulant embedding, in points: each of the draw's arrays of
+# that length takes 2 GiB.
+_MAX_EMBEDDING = 2**28
 
 
 def _check_seed(seed) -> int:
@@ -68,10 +74,34 @@ def _first_row(table: AcvfTable, m: int) -> np.ndarray:
     return np.concatenate([half, half[-2:0:-1]])
 
 
+def _embedding_size(n: int) -> int:
+    """Smallest even 5-smooth m >= 2(n-1) for a path of n >= 2 points.
+
+    Refuses sizes beyond _MAX_EMBEDDING with a DomainError, before any
+    array exists.
+    """
+    half = max(1, n - 1)
+    best = 1 << (half - 1).bit_length()  # the power of two
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two that reaches half
+            best = min(best, p35 << (-(-half // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    if 2 * best > _MAX_EMBEDDING:
+        raise DomainError(
+            f"N = {n} needs a circulant embedding of {2 * best} points, beyond the "
+            f"limit 2^28 = {_MAX_EMBEDDING}"
+        )
+    return 2 * best
+
+
 def _embedding(table: AcvfTable, tol: Tolerance) -> tuple[np.ndarray, int]:
     # Eigenvalues of the circulant embedding, padding to powers of two
     # while the spectrum has meaningfully negative entries.
-    m = max(2, 2 * table.n_max)
+    m = _embedding_size(table.n_max + 1)
     attempt = 0
     while True:
         table.extend(m // 2)
@@ -80,7 +110,7 @@ def _embedding(table: AcvfTable, tol: Tolerance) -> tuple[np.ndarray, int]:
         worst = float(lam.min())
         if worst >= -_NEGLIGIBLE * top:
             return np.maximum(lam, 0.0), m
-        if attempt < _MAX_RETRIES:
+        if attempt < _MAX_RETRIES and 1 << m.bit_length() <= _MAX_EMBEDDING:
             attempt += 1
             m = 1 << m.bit_length()
             continue
@@ -115,15 +145,18 @@ def _draw(lam: np.ndarray, m: int, n: int, seed: int) -> np.ndarray:
 def sample(spec: ProcessSpec, N: int, seed, *, tol: Tolerance = Tolerance()) -> SamplePath:
     """Draw one zero-mean Gaussian path with covariance gamma(0..N-1).
 
-    The embedding uses size max(2, 2(N-1)); a spectrum with negative
-    entries beyond the rounding scale is padded to the next power of two
-    (up to three times), then mildly negative leftovers are clipped with a
-    logged warning and strongly negative ones raise.
+    The embedding uses the smallest even 5-smooth size m >= 2(N-1), at
+    most 2^28 (a larger N raises DomainError before any work); a spectrum
+    with negative entries beyond the rounding scale is padded to the next
+    power of two (up to three times, within the same limit), then mildly
+    negative leftovers are clipped with a logged warning and strongly
+    negative ones raise.
     """
     n = int(N)
     if n != N or n < 2:
         raise DomainError(f"N must be an integer >= 2, got {N!r}")
     s = _check_seed(seed)
+    _embedding_size(n)  # the size guard, before the table is built
     lam, m = _embedding(acvf(spec, n - 1, tol), tol)
     return SamplePath(spec=spec, seed=s, values=_draw(lam, m, n, s))
 
@@ -158,6 +191,7 @@ def sample_many(
     n = int(N)
     if n != N or n < 2:
         raise DomainError(f"N must be an integer >= 2, got {N!r}")
+    _embedding_size(n)  # the size guard, before the table is built
     seeds = np.random.SeedSequence(_check_seed(seed)).generate_state(c, np.uint64)
     lam, m = _embedding(acvf(spec, n - 1, tol), tol)
 

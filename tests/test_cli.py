@@ -1,15 +1,20 @@
 """Command-line contract: tables, report plumbing, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
-from lrdlab import cli
+from lrdlab import cli, sampler
 from lrdlab.errors import ConvergenceError, CoverageError
+from lrdlab.kernel_special import Tolerance
 from lrdlab.process_model import spec_from_json
+from lrdlab.sampler import sample
 
 FGN08 = {"type": "fgn", "H": 0.8, "V": 1.0}
 WHITE = {"type": "fgn", "H": 0.5, "V": 1.0}
@@ -31,6 +36,49 @@ def run(args, capsys):
 def parse_csv(text):
     rows = list(csv.reader(io.StringIO(text)))
     return rows[0], rows[1:]
+
+
+def old_fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def old_emit(fmt, header, rows, json_obj=None):
+    """The row-wise emitter the CLI used before its output was bulk-formatted."""
+    if fmt == "json":
+        if json_obj is None:
+            json_obj = {
+                "columns": list(header),
+                "rows": [[None if v is None else float(v) for v in row] for row in rows],
+            }
+        return json.dumps(json_obj, indent=2, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([old_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def plain(obj):
+    """obj with numpy arrays as nested lists, as the old emitter was given them."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    return obj
+
+
+def old_text(fmt, header, columns, json_obj=None):
+    rows = list(zip(*(plain(c) for c in columns))) if columns is not None else []
+    return old_emit(fmt, header, rows, None if json_obj is None else plain(json_obj))
 
 
 class TestSpectrumCommand:
@@ -110,6 +158,27 @@ class TestTableCommands:
             assert rc == 2
             assert out == ""
             assert "2^53" in err
+
+    def test_aggregated_acvf_of_fgn_within_tolerance_of_exact(self, tmp_path, capsys):
+        # The level-m aggregate of fGn is m^(2H-2) gamma(n) exactly; a second
+        # difference of omega near V (mn)^(2H) missed this by 1.4e-9 relative.
+        m, n_max, h = 100, 2000, 0.8
+        rc, out, _ = run(
+            ["acvf", "--spec", write_spec(tmp_path, FGN08), "--nmax", str(n_max), "--m", str(m)], capsys
+        )
+        _, rows = parse_csv(out)
+        assert rc == 0
+        assert [int(r[0]) for r in rows] == list(range(n_max + 1))
+        with mpmath.workdps(40):
+            a = 2 * mpmath.mpf(h)
+            scale = mpmath.mpf(m) ** (a - 2)
+            exact = np.array(
+                [float(scale * ((n + 1) ** a + abs(n - 1) ** a - 2 * mpmath.mpf(n) ** a) / 2)
+                 for n in range(n_max + 1)]
+            )
+        got = np.array([float(r[1]) for r in rows])
+        tol = Tolerance()
+        assert np.all(np.abs(got - exact) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(exact)))
 
     def test_seventeen_significant_digits_round_trip(self, tmp_path, capsys):
         rc, out, _ = run(["acvf", "--spec", write_spec(tmp_path, FGN08), "--nmax", "2"], capsys)
@@ -250,6 +319,44 @@ class TestSampleCommand:
         assert rc == 2
         assert "--nmax" in err
 
+    def test_oversized_length_exits_two_before_any_table(self, tmp_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the autocovariance table was requested")
+
+        monkeypatch.setattr(sampler, "acvf", unreachable)
+        spec = write_spec(tmp_path, WHITE)
+        for paths in ("1", "3"):
+            rc, out, err = run(
+                ["sample", "--spec", spec, "--nmax", str(2**40), "--seed", "1", "--paths", paths], capsys
+            )
+            assert rc == 2
+            assert out == ""
+            assert "2^28" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_parses_back_bit_for_bit(self, tmp_path, capsys, fmt):
+        # N = 1000 embeds at 2000, not at 2(N-1) = 1998.
+        n, count, seed = 1000, 3, 424242
+        spec = write_spec(tmp_path, FARIMA03)
+        rc, out, _ = run(
+            ["sample", "--spec", spec, "--nmax", str(n), "--seed", str(seed), "--paths", str(count),
+             "--format", fmt],
+            capsys,
+        )
+        assert rc == 0
+        seeds = [int(s) for s in np.random.SeedSequence(seed).generate_state(count, np.uint64)]
+        if fmt == "csv":
+            header, rows = parse_csv(out)
+            assert header == ["path", "t", "value"]
+            assert [(int(p), int(t)) for p, t, _ in rows] == [(i, t) for i in range(count) for t in range(n)]
+            got = np.array([float(v) for _, _, v in rows]).reshape(count, n)
+        else:
+            obj = json.loads(out)
+            assert (obj["seed"], obj["n"], obj["path_seeds"]) == (seed, n, seeds)
+            got = np.array(obj["paths"], dtype=np.float64)
+        want = np.stack([sample(spec_from_json(FARIMA03), n, s).values for s in seeds])
+        assert got.tobytes() == want.tobytes()
+
     def test_oversized_seed_rejected(self, tmp_path, capsys):
         rc, _, err = run(
             ["sample", "--spec", write_spec(tmp_path, WHITE), "--nmax", "8", "--seed", str(2**64)],
@@ -299,3 +406,85 @@ class TestExitCodes:
         )
         assert rc == 2
         assert "--tol" in err
+
+
+class TestEmissionMatchesTheOldEmitter:
+    """Bulk emission writes exactly what csv.writer and json.dumps(indent=2) wrote."""
+
+    COMMANDS = {
+        "spectrum": ["spectrum", "--spec", "fd", "--points", "40"],
+        "acvf": ["acvf", "--spec", "arma", "--nmax", "64"],
+        "acvf_m": ["acvf", "--spec", "fgn", "--nmax", "50", "--m", "10"],
+        "vtf": ["vtf", "--spec", "fd", "--nmax", "300", "--m", "3"],
+        "ctf": ["ctf", "--spec", "fgn", "--nmax", "200", "--m", "7"],
+        "closeness": ["closeness", "--spec", "fd"],
+        "brittle": ["brittle", "--experiment", "1"],
+        "sample": ["sample", "--spec", "fgn", "--nmax", "100", "--seed", "5", "--paths", "3"],
+        "sample_one": ["sample", "--spec", "fd", "--nmax", "33", "--seed", "0xBEEF"],
+    }
+    SPECS = {
+        "fgn": FGN08,
+        "fd": FARIMA03,
+        "arma": {"type": "fracdiff", "H": 0.8,
+                 "driver": {"type": "arma", "ar": [0.3], "ma": [0.7], "sigma2": 1.0}},
+    }
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        calls = []
+        real = cli._emit
+
+        def record(args, header, columns, json_obj=None):
+            calls.append((args.format, header, columns, json_obj))
+            real(args, header, columns, json_obj)
+
+        monkeypatch.setattr(cli, "_emit", record)
+        return calls
+
+    @pytest.mark.parametrize("chunk", [7, cli._CHUNK])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_subcommand_text(self, tmp_path, capsys, monkeypatch, recorded, command, fmt, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        argv = [
+            write_spec(tmp_path, self.SPECS[a], f"{a}.json") if a in self.SPECS else a
+            for a in self.COMMANDS[command]
+        ]
+        rc, out, _ = run(argv + ["--format", fmt], capsys)
+        assert rc == 0
+        (used, header, columns, json_obj), = recorded
+        assert used == fmt
+        assert out == old_text(fmt, header, columns, json_obj)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, cli._CHUNK])
+    def test_edge_cells(self, tmp_path, capsys, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        header = ("label", "m", "n", "value")
+        columns = (
+            ["plain", 'say "hi"', "a,b", "line\nbreak", ""],
+            [None, 10, 2.5, np.int64(-3), 1e300],
+            np.array([0, -1, 2**62, 7, 3]),
+            np.array([math.nan, math.inf, -math.inf, -0.0, 0.1]),
+        )
+        args = argparse.Namespace(format="csv", out=None)
+        cli._emit(args, header, columns)
+        assert capsys.readouterr().out == old_text("csv", header, columns)
+
+        numeric = (np.array([1, 2, 3]), np.array([math.nan, -math.inf, 1 / 3]))
+        cli._emit(argparse.Namespace(format="json", out=None), ("n", "value"), numeric)
+        assert capsys.readouterr().out == old_text("json", ("n", "value"), numeric)
+
+        obj = {
+            "z": None,
+            "a": [1, 2.0, "\u00e9\"", True, False, None, [], {}],
+            "nested": {"curve": [[1, math.nan], [2, math.inf], [3, -math.inf]], "empty": []},
+            "ints": np.arange(5),
+            "line": np.array([0.1, 1 / 3, 2.0, -1e-310]),
+            "finite": np.array([[0.1, -2.5e-300, 1e22], [3.0, -0.0, 7.0]]),
+            "special": np.array([1.0, math.nan, math.inf]),
+            "hollow": np.zeros((2, 0)),
+            "none": np.array([]),
+        }
+        out_path = tmp_path / "edge.json"
+        cli._emit(argparse.Namespace(format="json", out=str(out_path)), (), None, json_obj=obj)
+        assert out_path.read_text() == old_text("json", (), None, obj)

@@ -9,7 +9,8 @@ from lrdlab.covariance_engine import acvf
 from lrdlab.errors import DomainError
 from lrdlab.kernel_special import HurstParam, Tolerance
 from lrdlab.process_model import Fgn, FracDiff, WhiteNoise
-from lrdlab.sampler import SamplePath, _embedding, empirical_acvf, sample, sample_many
+from lrdlab import sampler
+from lrdlab.sampler import SamplePath, _embedding, _embedding_size, empirical_acvf, sample, sample_many
 
 WHITE = Fgn(HurstParam(0.5), 1.0)
 FGN08 = Fgn(HurstParam(0.8), 1.0)
@@ -52,14 +53,33 @@ class TestSampleBasics:
 class TestEmbedding:
     def test_white_spectrum_is_flat(self):
         lam, m = _embedding(acvf(WHITE, 63), Tolerance())
-        assert m == 126
+        assert m == 128
         assert np.allclose(lam, 1.0, rtol=0, atol=1e-12)
 
     def test_strong_dependence_embeds_without_padding(self):
         table = acvf(Fgn(HurstParam(0.95), 1.0), 1023)
         lam, m = _embedding(table, Tolerance())
-        assert m == 2046
+        assert m == 2048
         assert lam.min() > 0
+
+    def test_prime_doubled_length_rounds_up_to_a_power_of_two(self):
+        # 2(N-1) = 2 * 8191 is prime-factored; the embedding takes 16384.
+        lam, m = _embedding(acvf(FGN08, 8191), Tolerance())
+        assert m == 16384
+        assert lam.min() > 0
+
+    def test_size_is_the_smallest_even_5_smooth_bound(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        for n in range(2, 3000):
+            m = max(2, 2 * (n - 1))
+            while not smooth(m // 2) or m % 2:
+                m += 1
+            assert _embedding_size(n) == m, n
 
     def test_eigenvalues_invert_to_the_covariance_row(self):
         n = 400
@@ -67,6 +87,25 @@ class TestEmbedding:
         lam, m = _embedding(table, Tolerance())
         row = np.fft.irfft(lam, n=m)[:n]
         assert np.allclose(row, table.values[:n], rtol=1e-12, atol=0)
+
+
+class TestSizeGuard:
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the autocovariance table was requested")
+
+        monkeypatch.setattr(sampler, "acvf", unreachable)
+
+    def test_largest_embedding_is_accepted(self):
+        assert _embedding_size(2**27 + 1) == 2**28
+
+    @pytest.mark.parametrize("n", [2**27 + 2, 10**12])
+    def test_oversized_path_is_named_before_any_table(self, no_tables, n):
+        with pytest.raises(DomainError, match=r"2\^28"):
+            sample(WHITE, n, 1)
+        with pytest.raises(DomainError, match=r"2\^28"):
+            sample_many(WHITE, n, 1, 2)
 
 
 class TestSampleMany:
@@ -78,6 +117,12 @@ class TestSampleMany:
         for p in paths:
             again = sample(FGN08, 128, p.seed)
             assert p.values.tobytes() == again.values.tobytes()
+
+    @pytest.mark.parametrize("n", [1000, 8192])
+    def test_padded_embeddings_match_their_own_seeds(self, n):
+        # 2(N-1) = 1998 and 16382 are not 5-smooth; both sizes round up.
+        for p in sample_many(FGN08, n, 99, 2):
+            assert p.values.tobytes() == sample(FGN08, n, p.seed).values.tobytes()
 
     def test_thread_cap_does_not_change_results(self, monkeypatch):
         monkeypatch.delenv("LRD_LAB_THREADS", raising=False)
