@@ -221,7 +221,7 @@ def cmd_acvf(args) -> None:
     m = _positive_int(args, "m")
     ns = np.arange(n_max + 1)
     if m == 1:
-        values = acvf(spec, n_max, tol).values[: n_max + 1]
+        values = acvf(spec, n_max, tol).values
     else:
         _lags(n_max + 1, m)  # the 2^53 guard, before any lag array is built
         view = VtfView(spec, tol)

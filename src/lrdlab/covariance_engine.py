@@ -12,9 +12,9 @@ fGn autocovariance with the Fourier coefficients G_j of g = f / f*.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +128,20 @@ def farima00_acvf(d: float, sigma2: float, n: int) -> float:
     return float(_farima00_values(d, sigma2, n)[n])
 
 
+def _lag_index(n) -> int:
+    """|n| for an integer lag n; a fractional lag is a DomainError."""
+    k = int(n)
+    if k != n:
+        raise DomainError(f"lag must be an integer, got {n!r}")
+    return abs(k)
+
+
+def _inner_tol(tol: Tolerance) -> Tolerance:
+    # Spectrum evaluations inside a quadrature or FFT grid get a tighter
+    # absolute target than the result they feed, and the caller's budget.
+    return dataclasses.replace(tol, abs_tol=min(tol.abs_tol, 1e-13))
+
+
 @dataclass(frozen=True)
 class GCoeffs:
     """Fourier coefficients of the density ratio g = f / f*.
@@ -147,7 +161,7 @@ class GCoeffs:
         return len(self.values) - 1
 
     def G(self, j: int) -> float:
-        k = abs(int(j))
+        k = _lag_index(j)
         if k > self.j_max:
             raise CoverageError(f"coefficient {j} beyond cached j_max {self.j_max}")
         return float(self.values[k])
@@ -204,7 +218,7 @@ def g_fourier_coeffs(
         raise DomainError(f"J_max must be at least 8, got {J_max}")
     spec = FracDiff(h, driver)
     star = matched_fgn(spec)
-    inner = Tolerance(abs_tol=min(tol.abs_tol, 1e-13), rel_tol=tol.rel_tol)
+    inner = _inner_tol(tol)
 
     def ratio(n_grid: int) -> np.ndarray:
         # g has a removable point at x = 0, filled with its limit g(0) = 1.
@@ -222,50 +236,30 @@ def g_fourier_coeffs(
     return GCoeffs(H=h, driver=driver, values=coeff, tail_bound=tail_bound)
 
 
+@dataclass(frozen=True, eq=False)
 class AcvfTable:
-    """Cached autocovariances gamma(0..n_max) of one spec.
+    """Autocovariances gamma(0..n_max) of one spec, computed once.
 
-    Thread-safe to read anywhere; :meth:`extend` appends under an internal
-    lock, so a table can be grown while other threads keep reading the
-    already published prefix.  ``components`` holds the tables of a Sum's
-    components in spec order (empty for other specs); the Sum table grows
-    them through their own :meth:`extend`.
+    ``values`` is read-only and ``route`` names the mechanism that
+    produced it; a longer table is a new :func:`acvf` call.
     """
 
-    def __init__(self, spec: ProcessSpec, route: Route, tol: Tolerance, builder, n_max: int):
-        self.spec = spec
-        self.route = route
-        self.tol = tol
-        self._builder = builder
-        self._lock = threading.Lock()
-        self.components: tuple[AcvfTable, ...] = ()
-        values = np.asarray(builder(0, n_max), dtype=np.float64)
-        values.flags.writeable = False
-        self._values = values
+    spec: ProcessSpec
+    route: Route
+    values: np.ndarray
 
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
+    def __post_init__(self) -> None:
+        self.values.flags.writeable = False
 
     @property
     def n_max(self) -> int:
-        return len(self._values) - 1
+        return len(self.values) - 1
 
     def gamma(self, n: int) -> float:
-        k = abs(int(n))
-        values = self._values
-        if k >= len(values):
-            raise CoverageError(f"lag {n} beyond cached n_max {len(values) - 1}")
-        return float(values[k])
-
-    def extend(self, n_max: int) -> "AcvfTable":
-        with self._lock:
-            if n_max > self.n_max:
-                block = np.asarray(self._builder(self.n_max + 1, n_max), dtype=np.float64)
-                merged = np.concatenate((self._values, block))
-                merged.flags.writeable = False
-                self._values = merged
-        return self
+        k = _lag_index(n)
+        if k > self.n_max:
+            raise CoverageError(f"lag {n} beyond cached n_max {self.n_max}")
+        return float(self.values[k])
 
 
 def _driver_acvf(driver: ShortMemorySpec, tol: Tolerance) -> np.ndarray:
@@ -297,10 +291,10 @@ def _driver_acvf(driver: ShortMemorySpec, tol: Tolerance) -> np.ndarray:
         hi *= 2
 
 
-def _builder_for(spec: ProcessSpec, n_max: int, tol: Tolerance):
-    """(route, builder, component tables) of a spec, chosen by its type alone."""
+def _route_values(spec: ProcessSpec, n_max: int, tol: Tolerance) -> tuple[Route, np.ndarray]:
+    """(route, gamma(0..n_max)) of a spec, the route chosen by its type alone."""
     if isinstance(spec, Fgn):
-        return Route.CLOSED_FORM, lambda lo, hi: _fgn_block(spec.H.H, spec.V, np.arange(lo, hi + 1)), ()
+        return Route.CLOSED_FORM, _fgn_block(spec.H.H, spec.V, np.arange(n_max + 1))
 
     if isinstance(spec, FracDiff):
         d = spec.H.d
@@ -308,26 +302,16 @@ def _builder_for(spec: ProcessSpec, n_max: int, tol: Tolerance):
             raise DomainError("FracDiff needs H < 1 for a stationary autocovariance")
         gh = _driver_acvf(spec.driver, tol)
         k_top = len(gh) - 1
-        two_sided = np.concatenate((gh[:0:-1], gh))
-
-        def convolved(lo: int, hi: int) -> np.ndarray:
-            # gamma(n) = sum over |k| <= K of gamma_h(k) gamma_F(n - k); the
-            # unit FARIMA(0,d,0) values gamma_F are even in the lag.
-            g_f = _farima00_values(d, 1.0, hi + k_top)
-            return np.convolve(g_f[np.abs(np.arange(lo - k_top, hi + k_top + 1))], two_sided, mode="valid")
-
-        return Route.DRIVER_CONVOLUTION, convolved, ()
+        # gamma(n) = sum over |k| <= K of gamma_h(k) gamma_F(n - k); the
+        # unit FARIMA(0,d,0) values gamma_F are even in the lag.
+        g_f = _farima00_values(d, 1.0, n_max + k_top)[np.abs(np.arange(-k_top, n_max + k_top + 1))]
+        return Route.DRIVER_CONVOLUTION, np.convolve(g_f, np.concatenate((gh[:0:-1], gh)), mode="valid")
 
     if isinstance(spec, Sum):
-        parts = tuple(acvf(comp, n_max, tol) for comp, _ in spec.components)
-
-        def summed(lo: int, hi: int) -> np.ndarray:
-            acc = np.zeros(hi - lo + 1)
-            for table, (_, weight) in zip(parts, spec.components):
-                acc += weight * table.extend(hi).values[lo : hi + 1]
-            return acc
-
-        return Route.SUM_OF_COMPONENTS, summed, parts
+        total = np.zeros(n_max + 1)
+        for comp, weight in spec.components:
+            total += weight * acvf(comp, n_max, tol).values
+        return Route.SUM_OF_COMPONENTS, total
     raise DomainError(f"unknown process spec {type(spec).__name__}")
 
 
@@ -342,10 +326,7 @@ def acvf(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTab
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    route, builder, parts = _builder_for(spec, n_max, tol)
-    table = AcvfTable(spec, route, tol, builder, n_max)
-    table.components = parts
-    return table
+    return AcvfTable(spec, *_route_values(spec, n_max, tol))
 
 
 def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTable:
@@ -359,17 +340,14 @@ def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Toleran
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     star = matched_fgn(spec)
-    inner = Tolerance(abs_tol=min(tol.abs_tol, 1e-13), rel_tol=tol.rel_tol)
+    inner = _inner_tol(tol)
 
     def phi(x: np.ndarray) -> np.ndarray:
         return spectrum(spec, x, inner) - spectrum(star, x, inner)
 
-    def subtraction(lo: int, hi: int) -> np.ndarray:
-        lags = np.arange(lo, hi + 1)
-        base = _fgn_block(star.H.H, star.V, lags)
-        return base + 2.0 * filon_cos_integrals(phi, lags, tol)
-
-    return AcvfTable(spec, Route.SPECTRAL_SUBTRACTION, tol, subtraction, n_max)
+    lags = np.arange(n_max + 1)
+    values = _fgn_block(star.H.H, star.V, lags) + 2.0 * filon_cos_integrals(phi, lags, tol)
+    return AcvfTable(spec, Route.SPECTRAL_SUBTRACTION, values)
 
 
 def acvf_via_convolution(
@@ -395,11 +373,7 @@ def acvf_via_convolution(
     spec = FracDiff(h, driver)
     star = matched_fgn(spec)
     j_top = gc.j_max
-    g_full = np.concatenate((gc.values[:0:-1], gc.values))
-
-    def convolved(lo: int, hi: int) -> np.ndarray:
-        # gamma*(k) over k = lo-J..hi+J (even in k) against G_-J..G_J.
-        base = _fgn_block(star.H.H, star.V, np.abs(np.arange(lo - j_top, hi + j_top + 1)))
-        return np.convolve(base, g_full, mode="valid")
-
-    return AcvfTable(spec, Route.CONVOLUTION, tol, convolved, n_max)
+    # gamma*(k) over k = -J..n_max+J (even in k) against G_-J..G_J.
+    base = _fgn_block(star.H.H, star.V, np.abs(np.arange(-j_top, n_max + j_top + 1)))
+    values = np.convolve(base, np.concatenate((gc.values[:0:-1], gc.values)), mode="valid")
+    return AcvfTable(spec, Route.CONVOLUTION, values)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance_engine import AcvfTable, acvf
+from .covariance_engine import acvf
 from .errors import ConvergenceError, DomainError
 from .kernel_special import Tolerance
 from .process_model import ProcessSpec
@@ -38,8 +38,8 @@ _NEGLIGIBLE = 1e-10
 _SEVERE = 1e-4
 _MAX_RETRIES = 3
 
-# Largest circulant embedding, in points: each of the draw's arrays of
-# that length takes 2 GiB.
+# Largest circulant embedding, and largest batch of path values, in
+# points: each array of that length takes 2 GiB.
 _MAX_EMBEDDING = 2**28
 
 
@@ -69,9 +69,11 @@ class SamplePath:
         return len(self.values)
 
 
-def _first_row(table: AcvfTable, m: int) -> np.ndarray:
-    half = table.values[: m // 2 + 1]
-    return np.concatenate([half, half[-2:0:-1]])
+def _path_length(N) -> int:
+    n = int(N)
+    if n != N or n < 2:
+        raise DomainError(f"N must be an integer >= 2, got {N!r}")
+    return n
 
 
 def _embedding_size(n: int) -> int:
@@ -98,14 +100,15 @@ def _embedding_size(n: int) -> int:
     return 2 * best
 
 
-def _embedding(table: AcvfTable, tol: Tolerance) -> tuple[np.ndarray, int]:
-    # Eigenvalues of the circulant embedding, padding to powers of two
+def _embedding(spec: ProcessSpec, N: int, tol: Tolerance) -> tuple[np.ndarray, int]:
+    # Eigenvalues of the circulant embedding of N >= 2 points, each size's
+    # first row built once from gamma(0..m/2), padding to powers of two
     # while the spectrum has meaningfully negative entries.
-    m = _embedding_size(table.n_max + 1)
+    m = _embedding_size(N)
     attempt = 0
     while True:
-        table.extend(m // 2)
-        lam = np.fft.rfft(_first_row(table, m)).real
+        half = acvf(spec, m // 2, tol).values
+        lam = np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real
         top = float(lam.max())
         worst = float(lam.min())
         if worst >= -_NEGLIGIBLE * top:
@@ -152,12 +155,9 @@ def sample(spec: ProcessSpec, N: int, seed, *, tol: Tolerance = Tolerance()) -> 
     negative leftovers are clipped with a logged warning and strongly
     negative ones raise.
     """
-    n = int(N)
-    if n != N or n < 2:
-        raise DomainError(f"N must be an integer >= 2, got {N!r}")
+    n = _path_length(N)
     s = _check_seed(seed)
-    _embedding_size(n)  # the size guard, before the table is built
-    lam, m = _embedding(acvf(spec, n - 1, tol), tol)
+    lam, m = _embedding(spec, n, tol)
     return SamplePath(spec=spec, seed=s, values=_draw(lam, m, n, s))
 
 
@@ -182,18 +182,20 @@ def sample_many(
 
     Path i uses the i-th state of the seed sequence spawned from ``seed``,
     so results do not depend on scheduling and each returned path equals
-    sample(spec, N, path.seed) bit-for-bit.  Parallelism is capped by the
-    LRD_LAB_THREADS environment variable.
+    sample(spec, N, path.seed) bit-for-bit.  A batch of more than 2^28
+    values raises DomainError before any seed or table is built.
+    Parallelism is capped by the LRD_LAB_THREADS environment variable.
     """
     c = int(count)
     if c != count or c < 1:
         raise DomainError(f"count must be a positive integer, got {count!r}")
-    n = int(N)
-    if n != N or n < 2:
-        raise DomainError(f"N must be an integer >= 2, got {N!r}")
-    _embedding_size(n)  # the size guard, before the table is built
+    n = _path_length(N)
+    if c * n > _MAX_EMBEDDING:  # before any seed or table is built
+        raise DomainError(
+            f"{c} paths of N = {n} are {c * n} values, beyond the limit 2^28 = {_MAX_EMBEDDING}"
+        )
     seeds = np.random.SeedSequence(_check_seed(seed)).generate_state(c, np.uint64)
-    lam, m = _embedding(acvf(spec, n - 1, tol), tol)
+    lam, m = _embedding(spec, n, tol)
 
     def one(i: int) -> SamplePath:
         s = int(seeds[i])

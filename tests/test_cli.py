@@ -324,10 +324,12 @@ class TestSampleCommand:
             raise AssertionError("the autocovariance table was requested")
 
         monkeypatch.setattr(sampler, "acvf", unreachable)
+        monkeypatch.setattr(np.random, "SeedSequence", unreachable)
         spec = write_spec(tmp_path, WHITE)
-        for paths in ("1", "3"):
+        # One path too long, then a batch of short paths too many in total.
+        for n, paths in ((2**40, 1), (2**40, 3), (2, 10**15)):
             rc, out, err = run(
-                ["sample", "--spec", spec, "--nmax", str(2**40), "--seed", "1", "--paths", paths], capsys
+                ["sample", "--spec", spec, "--nmax", str(n), "--seed", "1", "--paths", str(paths)], capsys
             )
             assert rc == 2
             assert out == ""

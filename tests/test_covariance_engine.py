@@ -9,7 +9,6 @@ driver convolution of ``acvf`` and for the quadrature and G-coefficient
 cross-checks.
 """
 
-import concurrent.futures
 import math
 
 import mpmath
@@ -196,6 +195,8 @@ def test_g_coeffs_domain_and_coverage():
     gc = g_fourier_coeffs(0.8, WhiteNoise(1.0), J_max=64)
     with pytest.raises(CoverageError):
         gc.G(65)
+    with pytest.raises(DomainError, match="integer"):
+        gc.G(2.5)
 
 
 def test_route_selection():
@@ -226,7 +227,7 @@ def test_acvf_never_integrates(monkeypatch):
 
     monkeypatch.setattr(covariance_engine, "filon_cos_integrals", counted)
     spec = FracDiff(HurstParam(0.8), FARIMA11_DRIVER)
-    acvf(spec, 64).extend(128)
+    acvf(spec, 128)
     assert calls == []
     acvf_via_subtraction(spec, 8)
     assert len(calls) >= 1
@@ -342,22 +343,38 @@ def test_sum_additivity():
     assert np.allclose(t_z.values, want, rtol=1e-14, atol=1e-16)
 
 
-def test_sum_extend_grows_its_component_tables(monkeypatch):
+def test_sum_table_weights_components_built_once(monkeypatch):
     z = Sum(((FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 1.0), (Fgn(HurstParam(0.5), 1.0), 0.1)))
-    tab = acvf(z, 20)
-    parts = tab.components
-    assert [p.spec for p in parts] == [c for c, _ in z.components]
-    assert all(p.n_max == 20 for p in parts)
+    want = acvf(z.components[0][0], 50).values + 0.1 * acvf(z.components[1][0], 50).values
+    calls = []
+    build = covariance_engine.acvf
 
-    def no_rebuild(*args, **kwargs):
-        raise AssertionError("extend must not rebuild a component table")
+    def counted(spec, n_max, tol=Tolerance()):
+        calls.append((spec, n_max))
+        return build(spec, n_max, tol)
 
-    monkeypatch.setattr(covariance_engine, "acvf", no_rebuild)
-    tab.extend(50)
-    assert tab.components is parts
-    assert all(p.n_max == 50 for p in parts)
-    assert np.array_equal(tab.values, parts[0].values + 0.1 * parts[1].values)
-    assert acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 5).components == ()
+    monkeypatch.setattr(covariance_engine, "acvf", counted)
+    tab = covariance_engine.acvf(z, 50)
+    assert calls == [(z, 50)] + [(c, 50) for c, _ in z.components]
+    assert tab.route is Route.SUM_OF_COMPONENTS
+    assert np.array_equal(tab.values, want)
+
+
+def test_inner_spectrum_tolerance_keeps_the_callers_budget(monkeypatch):
+    seen = []
+    evaluate = covariance_engine.spectrum
+
+    def spy(spec, x, tol):
+        seen.append(tol)
+        return evaluate(spec, x, tol)
+
+    monkeypatch.setattr(covariance_engine, "spectrum", spy)
+    budget = Tolerance(max_terms=1_000_000)
+    g_fourier_coeffs(0.8, FARIMA11_DRIVER, J_max=64, tol=budget)
+    acvf_via_subtraction(FracDiff(HurstParam(0.8), FARIMA11_DRIVER), 4, budget)
+    assert seen
+    assert {t.max_terms for t in seen} == {1_000_000}
+    assert {(t.abs_tol, t.rel_tol) for t in seen} == {(1e-13, budget.rel_tol)}
 
 
 def test_positive_semidefinite_at_desk_scale():
@@ -413,44 +430,17 @@ def test_table_symmetry_and_coverage():
     assert tab.gamma(-7) == tab.gamma(7)
     with pytest.raises(CoverageError, match="17"):
         tab.gamma(17)
+    with pytest.raises(DomainError, match="integer"):
+        tab.gamma(2.5)
     with pytest.raises(ValueError):
         tab.values[0] = 0.0  # read-only cache
-
-
-def test_table_extend_preserves_prefix():
-    for spec in (Fgn(HurstParam(0.8), 1.0), FracDiff(HurstParam(0.8), Fexp((0.2,)))):
-        tab = acvf(spec, 40)
-        before = tab.values.copy()
-        assert tab.extend(80) is tab
-        assert tab.n_max == 80
-        assert np.array_equal(tab.values[:41], before)
-        fresh = acvf(spec, 80)
-        assert np.allclose(tab.values, fresh.values, rtol=0.0, atol=1e-12)
-        # Shrinking is a no-op.
-        tab.extend(10)
-        assert tab.n_max == 80
-
-
-def test_table_concurrent_extend_and_read():
-    tab = acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 64)
-    targets = [128, 256, 192, 512, 384]
-
-    def grow(n):
-        tab.extend(n)
-        return tab.gamma(min(n, 64))
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=5) as pool:
-        list(pool.map(grow, targets))
-    assert tab.n_max == 512
-    ref = acvf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 512)
-    assert np.array_equal(tab.values, ref.values)
 
 
 def test_convolution_matches_term_by_term_sum():
     # gamma(n) = sum over |j| <= J of G_j gamma*(n - j), summed in a loop;
     # the vectorised route may differ by rounding in its summation order.
     gc = g_fourier_coeffs(0.8, FARIMA11_DRIVER, J_max=64)
-    conv = acvf_via_convolution(0.8, FARIMA11_DRIVER, 10, coeffs=gc).extend(30)
+    conv = acvf_via_convolution(0.8, FARIMA11_DRIVER, 30, coeffs=gc)
     star = matched_fgn(FracDiff(HurstParam(0.8), FARIMA11_DRIVER))
     for n in range(31):
         terms = [gc.G(j) * fgn_acvf(star.H, star.V, abs(n - j)) for j in range(-64, 65)]
@@ -460,7 +450,6 @@ def test_convolution_matches_term_by_term_sum():
 
 def test_convolution_table_extend():
     gc = g_fourier_coeffs(0.8, FARIMA11_DRIVER, J_max=2000)
-    conv = acvf_via_convolution(0.8, FARIMA11_DRIVER, 10, coeffs=gc)
-    conv.extend(30)
+    conv = acvf_via_convolution(0.8, FARIMA11_DRIVER, 30, coeffs=gc)
     sub = acvf_via_subtraction(FracDiff(HurstParam(0.8), FARIMA11_DRIVER), 30)
     assert float(np.max(np.abs(conv.values - sub.values))) <= 1e-6

@@ -52,19 +52,18 @@ class TestSampleBasics:
 
 class TestEmbedding:
     def test_white_spectrum_is_flat(self):
-        lam, m = _embedding(acvf(WHITE, 63), Tolerance())
+        lam, m = _embedding(WHITE, 64, Tolerance())
         assert m == 128
         assert np.allclose(lam, 1.0, rtol=0, atol=1e-12)
 
     def test_strong_dependence_embeds_without_padding(self):
-        table = acvf(Fgn(HurstParam(0.95), 1.0), 1023)
-        lam, m = _embedding(table, Tolerance())
+        lam, m = _embedding(Fgn(HurstParam(0.95), 1.0), 1024, Tolerance())
         assert m == 2048
         assert lam.min() > 0
 
     def test_prime_doubled_length_rounds_up_to_a_power_of_two(self):
         # 2(N-1) = 2 * 8191 is prime-factored; the embedding takes 16384.
-        lam, m = _embedding(acvf(FGN08, 8191), Tolerance())
+        lam, m = _embedding(FGN08, 8192, Tolerance())
         assert m == 16384
         assert lam.min() > 0
 
@@ -83,29 +82,51 @@ class TestEmbedding:
 
     def test_eigenvalues_invert_to_the_covariance_row(self):
         n = 400
-        table = acvf(FGN08, n - 1)
-        lam, m = _embedding(table, Tolerance())
+        lam, m = _embedding(FGN08, n, Tolerance())
         row = np.fft.irfft(lam, n=m)[:n]
-        assert np.allclose(row, table.values[:n], rtol=1e-12, atol=0)
+        assert np.allclose(row, acvf(FGN08, n - 1).values, rtol=1e-12, atol=0)
+
+    def test_one_table_at_half_the_embedding(self, monkeypatch):
+        # N = 1000 embeds at m = 2000: the sampler asks for gamma(0..1000)
+        # once, not for gamma(0..999) and then more.
+        calls = []
+
+        def counted(spec, n_max, tol):
+            calls.append((spec, n_max))
+            return acvf(spec, n_max, tol)
+
+        monkeypatch.setattr(sampler, "acvf", counted)
+        sample(FGN08, 1000, 3)
+        assert calls == [(FGN08, 1000)]
+        calls.clear()
+        sample_many(FGN08, 1000, 3, 2)
+        assert calls == [(FGN08, 1000)]
 
 
 class TestSizeGuard:
     @pytest.fixture
-    def no_tables(self, monkeypatch):
+    def nothing_built(self, monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("the autocovariance table was requested")
+            raise AssertionError("a table or the batch seeds were requested")
 
         monkeypatch.setattr(sampler, "acvf", unreachable)
+        monkeypatch.setattr(np.random, "SeedSequence", unreachable)
 
     def test_largest_embedding_is_accepted(self):
         assert _embedding_size(2**27 + 1) == 2**28
 
     @pytest.mark.parametrize("n", [2**27 + 2, 10**12])
-    def test_oversized_path_is_named_before_any_table(self, no_tables, n):
+    def test_oversized_path_is_named_before_any_table(self, nothing_built, n):
         with pytest.raises(DomainError, match=r"2\^28"):
             sample(WHITE, n, 1)
         with pytest.raises(DomainError, match=r"2\^28"):
             sample_many(WHITE, n, 1, 2)
+
+    def test_oversized_batch_is_named_before_any_seed(self, nothing_built):
+        with pytest.raises(DomainError, match=r"2\^28"):
+            sample_many(WHITE, 2, 1, 10**15)
+        with pytest.raises(DomainError, match=r"2\^28"):
+            sample_many(WHITE, 2**14, 1, 2**14 + 1)
 
 
 class TestSampleMany:
