@@ -47,7 +47,6 @@ from .process_model import (
 from .sampler import SamplePath, empirical_acvf, sample, sample_many
 from .vtf_aggregation import (
     AggregatedVtf,
-    CtfView,
     FixedPoint,
     VtfView,
     aggregate_ctf,
@@ -66,7 +65,6 @@ __all__ = [
     "ClosenessReport",
     "ConvergenceError",
     "CoverageError",
-    "CtfView",
     "DomainError",
     "Fexp",
     "Fgn",

@@ -10,8 +10,8 @@ process against a noisy variant sharing the same fixed point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import polygamma
@@ -58,45 +58,32 @@ _EPS = float(np.finfo(np.float64).eps)
 # the measured value.
 _REL_MATCH = 1e-4
 
-_g_coeffs = lru_cache(maxsize=8)(g_fourier_coeffs)
+# Relative change between the last two probes below which the VTF offset
+# counts as stabilised.
+_STABILISATION_TOL = 1e-3
+
+# Terms of the G-coefficient sums behind the closed-form offset candidates.
+_J_SUM = 2048
 
 
 def _int_grid(values, what: str, minimum: int = 1) -> tuple[int, ...]:
+    if isinstance(values, str) or not np.iterable(values):
+        raise DomainError(f"{what} must be integers >= {minimum}, got {values!r}")
     out = []
     for v in values:
-        k = int(v)
-        if k != v or k < minimum:
+        real = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+        if not real or int(v) != v or v < minimum:
             raise DomainError(f"{what} must be integers >= {minimum}, got {v!r}")
-        out.append(k)
+        out.append(int(v))
     if not out:
         raise DomainError(f"{what} must be non-empty")
     return tuple(out)
 
 
-def _require_shared_fixed_point(spec: ProcessSpec, fixed_point: FixedPoint) -> None:
-    star = matched_fgn(spec)
-    if abs(star.H.H - fixed_point.H.H) > 1e-12 or abs(star.V / fixed_point.V - 1.0) > 1e-10:
-        raise DomainError(
-            "fixed point does not match the spec: expected "
-            f"H={star.H.H!r}, V={star.V!r}, got H={fixed_point.H.H!r}, V={fixed_point.V!r}"
-        )
-
-
-def _view_for(spec: ProcessSpec, tol: Tolerance, view: VtfView | None) -> VtfView:
-    if view is None:
-        return VtfView(spec, tol)
-    if view.spec != spec:
-        raise DomainError("supplied VTF was built for a different spec")
-    return view
-
-
-def _offsets(view: VtfView, fixed_point: FixedPoint, n) -> np.ndarray:
+def _offsets(view: VtfView, v_star: float, n) -> np.ndarray:
     # omega(n) - omega*(n) from the view's own offset: a V* that differs
-    # from the view's V in the last digits adds (V - V*) n^(2H), and the
-    # last term is exactly 0 unless the Hurst exponents differ too.
-    x = np.asarray(n, dtype=np.float64)
-    star = x ** (2.0 * fixed_point.H.H)
-    return view.offset(n) + (view.V - fixed_point.V) * star + view.V * (x ** (2.0 * view.H.H) - star)
+    # from the view's V in the last digits adds (V - V*) n^(2H).
+    return view.offset(n) + (view.V - v_star) * np.asarray(n, dtype=np.float64) ** (2.0 * view.H.H)
 
 
 @dataclass(frozen=True)
@@ -121,16 +108,14 @@ class OffsetEvidence:
     D_formula_abs: float
 
 
-def _offset_closed_forms(
-    spec: ProcessSpec, fixed_point: FixedPoint, j_sum: int, tol: Tolerance
-) -> tuple[float, float]:
+def _offset_closed_forms(spec: ProcessSpec, v_star: float, tol: Tolerance) -> tuple[float, float]:
     # -2V sum_j j^(2H) G_j in signed and absolute-value variants.  The
     # summand decays like j^-2, so the truncated tail is accelerated with
     # the fitted j^-(2H+2) coefficient envelope: sum_{j>J} j^(2H) G_j
     # ~ c_env psi'(J+1).
     if not isinstance(spec, FracDiff):
         return 0.0, 0.0
-    coeffs = _g_coeffs(spec.H, spec.driver, J_max=j_sum, tol=tol)
+    coeffs = g_fourier_coeffs(spec.H, spec.driver, J_max=_J_SUM, tol=tol)
     h2 = 2.0 * spec.H.H
     j = np.arange(1, coeffs.j_max + 1, dtype=np.float64)
     g = coeffs.values[1:]
@@ -138,56 +123,46 @@ def _offset_closed_forms(
     lo = max(64, coeffs.j_max // 4)
     c_env = float(np.mean(j[lo - 1 :] ** (h2 + 2.0) * g[lo - 1 :]))
     tail = float(polygamma(1, coeffs.j_max + 1))
-    scale = -2.0 * fixed_point.V
+    scale = -2.0 * v_star
     signed = scale * (math.fsum(weighted) + c_env * tail)
     absolute = scale * (math.fsum(np.abs(weighted)) + abs(c_env) * tail)
     return signed, absolute
 
 
-def vtf_offset(
-    spec: ProcessSpec,
-    fixed_point: FixedPoint,
-    n_probe,
-    stabilisation_tol: float = 1e-3,
-    *,
-    j_sum: int = 2048,
-    tol: Tolerance = Tolerance(),
-    view: VtfView | None = None,
-) -> tuple[float, OffsetEvidence]:
+def vtf_offset(view: VtfView, n_probe, *, tol: Tolerance = Tolerance()) -> tuple[float, OffsetEvidence]:
     """Additive VTF offset omega(n) - omega*(n) probed at increasing scales.
 
-    Returns the offset at the largest probe together with the evidence
-    sequence.  ``converged`` means the last two probes agree within
-    stabilisation_tol relative to the offset itself (an offset of exactly
-    0, as for fGn, counts as stable).  The exact limit comes with the
-    closed-form VTF; both closed-form candidates for it are computed from
-    the coefficients of the density ratio, and a fitted limit
-    extrapolating the n^(2H-2) transient is included for diagnosis.
+    omega* is the VTF of the spec's matched fGn.  Returns the offset at the
+    largest probe together with the evidence sequence.  ``converged`` means
+    the last two probes agree within 1e-3 relative to the offset itself (an
+    offset of exactly 0, as for fGn, counts as stable).  The exact limit
+    comes with the closed-form VTF; both closed-form candidates for it are
+    computed from the coefficients of the density ratio (to tolerance
+    ``tol``), and a fitted limit extrapolating the n^(2H-2) transient is
+    included for diagnosis.
     """
+    spec = view.spec
     if not isinstance(spec, (Fgn, FracDiff)):
         raise DomainError("VTF offset needs a fractional Gaussian noise or fractionally differenced spec")
-    _require_shared_fixed_point(spec, fixed_point)
-    if not (stabilisation_tol > 0.0 and math.isfinite(stabilisation_tol)):
-        raise DomainError(f"stabilisation_tol must be positive, got {stabilisation_tol!r}")
+    star = matched_fgn(spec)
     probes = tuple(sorted(set(_int_grid(n_probe, "n_probe"))))
     if len(probes) < 2:
         raise DomainError("need at least two probe scales")
 
-    v = _view_for(spec, tol, view)
-    offsets = tuple(float(off) for off in _offsets(v, fixed_point, probes))
+    offsets = tuple(float(off) for off in _offsets(view, star.V, probes))
     d_hat = offsets[-1]
     last_delta = abs(offsets[-1] - offsets[-2])
-    converged = d_hat == 0.0 or last_delta <= stabilisation_tol * abs(d_hat)
+    converged = d_hat == 0.0 or last_delta <= _STABILISATION_TOL * abs(d_hat)
 
-    x = np.array(probes, dtype=np.float64) ** (2.0 * fixed_point.H.H - 2.0)
+    x = np.array(probes, dtype=np.float64) ** (2.0 * star.H.H - 2.0)
     rate, limit = np.polyfit(x, np.array(offsets), 1)
-    signed, absolute = _offset_closed_forms(spec, fixed_point, j_sum, tol)
+    signed, absolute = _offset_closed_forms(spec, star.V, tol)
     evidence = OffsetEvidence(
         probes=probes,
         offsets=offsets,
         converged=bool(converged),
         last_delta=float(last_delta),
-        D_exact=v.D,
+        D_exact=view.D,
         limit_fitted=float(limit),
         rate_coefficient=float(rate),
         D_formula_signed=signed,
@@ -216,27 +191,18 @@ class SlopeReport:
     saturated: bool
 
 
-def ctf_convergence_slope(
-    spec: ProcessSpec,
-    fixed_point: FixedPoint,
-    n: int,
-    levels,
-    *,
-    predict: bool = True,
-    j_sum: int = 2048,
-    tol: Tolerance = Tolerance(),
-    view: VtfView | None = None,
-) -> SlopeReport:
+def ctf_convergence_slope(view: VtfView, n: int, levels) -> SlopeReport:
     """Fit log|rho^(m)(n) - n^(2H)| against log m over aggregation levels.
 
     Levels must span at least two decades.  Levels whose gap sits at the
     rounding floor are discarded; if fewer than two remain the gap has
     already converged and the report says saturated instead of fitting
-    noise.  For a fractionally differenced spec the predicted leading
-    coefficient (D/V)(1 - n^(2H)) is attached for comparison with the
-    measured gap at the largest level, scaled by m^(2H).
+    noise.  Whenever the exact offset limit D is finite, the predicted
+    leading coefficient (D/V*)(1 - n^(2H)), V* the matched fGn variance,
+    is attached for comparison with the measured gap at the largest level,
+    scaled by m^(2H).
     """
-    _require_shared_fixed_point(spec, fixed_point)
+    star = matched_fgn(view.spec)
     n = int(n)
     if n < 1:
         raise DomainError(f"lag must be a positive integer, got {n}")
@@ -244,12 +210,11 @@ def ctf_convergence_slope(
     if len(lv) < 3 or lv[-1] < 100 * lv[0]:
         raise DomainError("levels must span at least two decades")
 
-    v = _view_for(spec, tol, view)
-    rho_star = fixed_point.rho(n)
     # rho^(m)(n) - n^(2H) = [offset(mn) - n^(2H) offset(m)] / omega(m): the
     # V (mn)^(2H) terms cancel exactly, not in rounding.
-    n_a = float(n) ** (2.0 * v.H.H)
-    gap = (v.offset([m * n for m in lv]) - n_a * v.offset(lv)) / v.omega(lv) + (n_a - rho_star)
+    h2 = 2.0 * star.H.H
+    rho_star = float(n) ** h2
+    gap = (view.offset([m * n for m in lv]) - rho_star * view.offset(lv)) / view.omega(lv)
     gaps = tuple(float(g) for g in gap)
 
     floor = max(20.0 * _EPS, 1e-14) * rho_star
@@ -278,13 +243,9 @@ def ctf_convergence_slope(
         top = usable[-2:]
     slope_hat = fit(top)
 
-    h2 = 2.0 * fixed_point.H.H
     m_top, gap_top = usable[-1]
     coeff_measured = gap_top * float(m_top) ** h2
-    coeff_predicted = None
-    if predict and isinstance(spec, FracDiff):
-        signed, _ = _offset_closed_forms(spec, fixed_point, j_sum, tol)
-        coeff_predicted = signed / fixed_point.V * (1.0 - rho_star)
+    coeff_predicted = view.D / star.V * (1.0 - rho_star) if math.isfinite(view.D) else None
     return SlopeReport(
         n=n,
         levels=lv,
@@ -309,24 +270,22 @@ class SpectralGapProfile:
     degenerate: bool
 
 
-def spectral_gap_profile(
-    spec: ProcessSpec, fixed_point: FixedPoint, x_grid, tol: Tolerance = Tolerance()
-) -> SpectralGapProfile:
+def spectral_gap_profile(spec: ProcessSpec, x_grid, tol: Tolerance = Tolerance()) -> SpectralGapProfile:
     """Evaluate phi(x) = f(x) - f*(x) and fit its log-log slope near zero.
 
-    The slope is fitted over grid points with x <= 1e-2 (falling back to
-    the lowest two decades when the grid has too few such points); the
-    non-negativity of phi on the grid is recorded, not asserted.  A gap
-    that vanishes identically is flagged degenerate with slope 0.
+    f* is the density of the spec's matched fGn.  The slope is fitted over
+    grid points with x <= 1e-2 (falling back to the lowest two decades
+    when the grid has too few such points); the non-negativity of phi on
+    the grid is recorded, not asserted.  A gap that vanishes identically
+    is flagged degenerate with slope 0.
     """
-    _require_shared_fixed_point(spec, fixed_point)
+    star = matched_fgn(spec)
     xa = np.sort(np.asarray(list(x_grid), dtype=np.float64))
     if xa.size == 0:
         raise DomainError("x_grid must be non-empty")
     if not (xa[0] > 0.0 and xa[-1] <= 0.5):
         raise DomainError("x_grid must lie inside (0, 1/2]")
 
-    star = Fgn(fixed_point.H, fixed_point.V)
     f_star = np.atleast_1d(spectrum(star, xa, tol))
     phi = np.atleast_1d(spectrum(spec, xa, tol)) - f_star
     nonneg = bool(np.all(phi >= -1e-10 * f_star))
@@ -365,32 +324,26 @@ class AcvfGapProfile:
     partial_sum_max: float
 
 
-def acvf_gap_profile(
-    spec: ProcessSpec,
-    fixed_point: FixedPoint,
-    n_grid,
-    tol: Tolerance = Tolerance(),
-) -> AcvfGapProfile:
-    """Tabulate the autocovariance gap against the fixed point.
+def acvf_gap_profile(spec: ProcessSpec, n_grid, tol: Tolerance = Tolerance()) -> AcvfGapProfile:
+    """Tabulate the autocovariance gap against the matched fGn.
 
     The gap is computed on every lag up to max(n_grid) (at most 1e4) so the
     partial-sum boundedness check is exact; the profile reports the
     requested grid points only.
     """
-    _require_shared_fixed_point(spec, fixed_point)
+    star = matched_fgn(spec)
     grid = tuple(sorted(set(_int_grid(n_grid, "n_grid", minimum=0))))
     if grid[-1] > 10_000:
         raise DomainError(f"lag grid beyond 10000 is not supported, got {grid[-1]}")
     n_top = grid[-1]
 
     table = acvf(spec, n_top, tol)
-    star = acvf(Fgn(fixed_point.H, fixed_point.V), n_top, tol)
-    d_full = table.values[: n_top + 1] - star.values
+    d_full = table.values[: n_top + 1] - acvf(star, n_top, tol).values
 
     idx = np.array(grid, dtype=np.intp)
     d_at = d_full[idx]
     na = idx.astype(np.float64)
-    envelope = na ** (4.0 - 2.0 * fixed_point.H.H) * np.abs(d_at)
+    envelope = na ** (4.0 - 2.0 * star.H.H) * np.abs(d_at)
 
     in_window = (na >= 1_000.0) & (na <= 10_000.0)
     variation: float | None = None
@@ -492,7 +445,6 @@ def _unit_variance_white_farima(d: float) -> FracDiff:
     return FracDiff(HurstParam(0.5 + d), WhiteNoise(sigma2))
 
 
-@lru_cache(maxsize=None)
 def builtin_experiment(index: int) -> BrittlenessExperiment:
     """The three stock perturbation set-ups (weight 0.1, levels 1/10/100).
 
@@ -580,8 +532,6 @@ def closeness_report(
     slope_levels=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
     x_grid=None,
     acvf_grid=None,
-    stabilisation_tol: float = 1e-3,
-    j_sum: int = 2048,
     tol: Tolerance = Tolerance(),
 ) -> ClosenessReport:
     """Run every closeness diagnostic on one spec with one shared VTF.
@@ -604,12 +554,10 @@ def closeness_report(
 
     view = VtfView(spec, tol)
 
-    d_hat, evidence = vtf_offset(
-        spec, fp, probes, stabilisation_tol, j_sum=j_sum, tol=tol, view=view
-    )
-    slope = ctf_convergence_slope(spec, fp, slope_n, lv, j_sum=j_sum, tol=tol, view=view)
-    spectral = spectral_gap_profile(spec, fp, xg, tol)
-    gap = acvf_gap_profile(spec, fp, grid, tol)
+    d_hat, evidence = vtf_offset(view, probes, tol=tol)
+    slope = ctf_convergence_slope(view, slope_n, lv)
+    spectral = spectral_gap_profile(spec, xg, tol)
+    gap = acvf_gap_profile(spec, grid, tol)
 
     if evidence.converged:
         beta = 0.0

@@ -13,6 +13,7 @@ shortfall or numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from itertools import chain
@@ -36,16 +37,19 @@ from .process_model import spec_from_json, spec_to_json, spectrum
 from .sampler import sample, sample_many
 from .vtf_aggregation import VtfView, _lags, aggregate_ctf, aggregate_vtf
 
-def _load_spec(path: str):
+def _read_json(path: str, what: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise DomainError(f"cannot read spec file {path!r}: {exc}") from exc
+        raise DomainError(f"cannot read {what} file {path!r}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"malformed JSON in {path!r}: {exc}") from exc
-    return spec_from_json(obj)
+
+
+def _load_spec(path: str):
+    return spec_from_json(_read_json(path, "spec"))
 
 
 def _parse_seed(text: str) -> int:
@@ -270,13 +274,8 @@ def cmd_closeness(args) -> None:
     )
 
 
-def _custom_experiment(path: str, levels, lags) -> BrittlenessExperiment:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise DomainError(f"cannot read experiment file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed JSON in {path!r}: {exc}") from exc
+def _custom_experiment(path: str) -> BrittlenessExperiment:
+    obj = _read_json(path, "experiment")
     if not isinstance(obj, dict):
         raise DomainError("experiment config must be an object")
     allowed = {"base", "noise", "weight", "levels", "lags"}
@@ -289,11 +288,7 @@ def _custom_experiment(path: str, levels, lags) -> BrittlenessExperiment:
     weight = obj["weight"]
     if not isinstance(weight, (int, float)) or isinstance(weight, bool):
         raise DomainError("'weight' must be a number")
-    kwargs = {}
-    for field, flag in (("levels", levels), ("lags", lags)):
-        grid = flag if flag is not None else obj.get(field)
-        if grid is not None:
-            kwargs[field] = tuple(grid)
+    kwargs = {field: obj[field] for field in ("levels", "lags") if obj.get(field) is not None}
     return BrittlenessExperiment(
         base=spec_from_json(obj["base"]),
         noise=spec_from_json(obj["noise"]),
@@ -303,22 +298,19 @@ def _custom_experiment(path: str, levels, lags) -> BrittlenessExperiment:
 
 
 def cmd_brittle(args) -> None:
-    levels = _parse_int_list(args.levels, "--levels") if args.levels else None
-    lags = _parse_int_list(args.lags, "--lags") if args.lags else None
+    overrides = {
+        field: _parse_int_list(text, f"--{field}")
+        for field, text in (("levels", args.levels), ("lags", args.lags))
+        if text
+    }
     if (args.experiment is None) == (args.spec is None):
         raise DomainError("pass exactly one of --experiment {1,2,3} or --spec CONFIG.json")
     if args.experiment is not None:
         experiment = builtin_experiment(args.experiment)
-        if levels is not None or lags is not None:
-            experiment = BrittlenessExperiment(
-                base=experiment.base,
-                noise=experiment.noise,
-                weight=experiment.weight,
-                levels=levels if levels is not None else experiment.levels,
-                lags=lags if lags is not None else experiment.lags,
-            )
     else:
-        experiment = _custom_experiment(args.spec, levels, lags)
+        experiment = _custom_experiment(args.spec)
+    if overrides:
+        experiment = dataclasses.replace(experiment, **overrides)
     result = run_brittleness(experiment, tol=_tolerance(args))
     rows = brittleness_csv_rows(result)
     json_obj = {
@@ -417,9 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", default=None, help="custom experiment JSON (base, noise, weight, optional levels/lags)")
     p.add_argument("--levels", default=None, help="comma-separated aggregation levels (default 1,10,100)")
     p.add_argument("--lags", default=None, help="comma-separated lags (default 1..10)")
-    p.add_argument("--tol", type=float, default=None, help="error target for adaptive routines")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format (default csv)")
+    _add_common(p, spec_required=False)
     p.set_defaults(func=cmd_brittle)
 
     p = commands.add_parser("sample", help="exact Gaussian sample paths (deterministic per seed)")

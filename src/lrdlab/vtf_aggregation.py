@@ -25,7 +25,6 @@ from .process_model import Fgn, FracDiff, ProcessSpec, Sum, matched_fgn
 
 __all__ = [
     "VtfView",
-    "CtfView",
     "FixedPoint",
     "AggregatedVtf",
     "vtf",
@@ -200,16 +199,6 @@ class VtfView:
 def vtf(spec: ProcessSpec, tol: Tolerance = Tolerance()) -> VtfView:
     """Variance-time function omega(n) of a spec, evaluated in closed form."""
     return VtfView(spec, tol)
-
-
-@dataclass(frozen=True)
-class CtfView:
-    """Correlation-time function rho(n) = omega(n) / omega(1)."""
-
-    vtf: VtfView
-
-    def rho(self, n):
-        return self.vtf.omega(n) / self.vtf.variance
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from lrdlab.kernel_special import HurstParam
 from lrdlab.process_model import Arma, Fgn, FracDiff, WhiteNoise
 from lrdlab.sampler import empirical_acvf, sample_many
 from lrdlab.vtf_aggregation import (
-    FixedPoint,
     aggregate_ctf,
     conv_double_int_identity_check,
     vtf,
@@ -108,9 +107,8 @@ def test_criterion_05_offset_stabilisation_and_candidate_match():
     movement is still checked, against the exact c.
     """
     exact_d, exact_c = farima00_offset_constants(FARIMA03.H.H - 0.5)
-    fp = FixedPoint.of_process(FARIMA03)
-    _, evidence = vtf_offset(FARIMA03, fp, (1000, 2000, 5000, 10000))
-    exponent = 2.0 * fp.H.H - 2.0
+    _, evidence = vtf_offset(vtf(FARIMA03), (1000, 2000, 5000, 10000))
+    exponent = 2.0 * FARIMA03.H.H - 2.0
     corrected = [
         off - evidence.rate_coefficient * n**exponent
         for n, off in zip(evidence.probes, evidence.offsets)
@@ -160,8 +158,7 @@ def test_criterion_06_aggregation_convergence_slopes():
         (builtin_experiment(3).perturbed(), -0.2, 0.1),
     )
     for spec, centre, width in targets:
-        fp = FixedPoint.of_process(spec)
-        slope = ctf_convergence_slope(spec, fp, 2, LEVELS).slope_hat
+        slope = ctf_convergence_slope(vtf(spec), 2, LEVELS).slope_hat
         assert centre - width <= slope <= centre + width, (
             f"slope {slope:.4f} outside {centre} +- {width} for {spec!r}"
         )
@@ -169,9 +166,8 @@ def test_criterion_06_aggregation_convergence_slopes():
 
 def test_criterion_07_acvf_gap_envelope_flat():
     """n^(4-2H) |d_n| varies by less than 10% over n in [1e3, 1e4]."""
-    fp = FixedPoint.of_process(FARIMA03)
     grid = np.unique(np.round(np.geomspace(1000, 10000, 41)).astype(int))
-    profile = acvf_gap_profile(FARIMA03, fp, grid)
+    profile = acvf_gap_profile(FARIMA03, grid)
     assert profile.envelope_variation is not None
     assert profile.envelope_variation < 0.10, (
         f"envelope variation {profile.envelope_variation:.4f} not under 10%"
@@ -180,8 +176,7 @@ def test_criterion_07_acvf_gap_envelope_flat():
 
 def test_criterion_08_spectral_gap_near_origin():
     """log-log slope of phi equals 1.4 +- 0.1; phi(1e-6) <= 1e-6 and phi >= 0 on the grid."""
-    fp = FixedPoint.of_process(FARIMA03)
-    profile = spectral_gap_profile(FARIMA03, fp, np.geomspace(1e-6, 0.5, 61))
+    profile = spectral_gap_profile(FARIMA03, np.geomspace(1e-6, 0.5, 61))
     assert 1.3 <= profile.slope_near_zero <= 1.5, f"slope {profile.slope_near_zero:.4f}"
     assert profile.nonnegative_on_grid
     assert 0.0 <= profile.phi[0] <= 1e-6, f"phi(1e-6) = {profile.phi[0]:.3e}"

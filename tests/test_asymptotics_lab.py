@@ -28,12 +28,12 @@ from lrdlab.asymptotics_lab import (
     spectral_gap_profile,
     vtf_offset,
 )
-from lrdlab import vtf_aggregation
+from lrdlab import asymptotics_lab, vtf_aggregation
 from lrdlab.covariance_engine import acvf
 from lrdlab.errors import CoverageError, DomainError
 from lrdlab.kernel_special import HurstParam
 from lrdlab.process_model import Fgn, FracDiff, Sum, WhiteNoise, spec_from_json, spectrum
-from lrdlab.vtf_aggregation import FixedPoint
+from lrdlab.vtf_aggregation import FixedPoint, VtfView
 
 FARIMA03 = FracDiff(HurstParam(0.8), WhiteNoise(1.0))
 LEVELS_2048 = tuple(2**k for k in range(11))
@@ -47,21 +47,17 @@ D1_ORACLE = -0.049524715546585
 D2_ORACLE = -0.006893406536683
 
 
-def _fp(spec):
-    return FixedPoint.of_process(spec)
-
-
 class TestVtfOffset:
     def test_fgn_offset_is_zero(self):
         spec = Fgn(HurstParam(0.8), 1.3)
-        d_hat, ev = vtf_offset(spec, _fp(spec), (500, 1000))
+        d_hat, ev = vtf_offset(VtfView(spec), (500, 1000))
         assert abs(d_hat) <= 1e-6
         assert ev.converged
         assert ev.D_formula_signed == 0.0
         assert ev.D_formula_abs == 0.0
 
     def test_farima_offset_sequence(self):
-        d_hat, ev = vtf_offset(FARIMA03, _fp(FARIMA03), (200, 400, 800, 1600))
+        d_hat, ev = vtf_offset(VtfView(FARIMA03), (200, 400, 800, 1600))
         assert ev.probes == (200, 400, 800, 1600)
         assert d_hat == ev.offsets[-1]
         assert d_hat == pytest.approx(0.2404, abs=2e-3)
@@ -73,112 +69,117 @@ class TestVtfOffset:
     def test_fitted_limit_agrees_with_closed_form(self):
         # Two independent routes to the same constant: extrapolation of the
         # n^(2H-2) transient vs the weighted coefficient sum.
-        _, ev = vtf_offset(FARIMA03, _fp(FARIMA03), (200, 400, 800, 1600))
+        _, ev = vtf_offset(VtfView(FARIMA03), (200, 400, 800, 1600))
         assert ev.D_exact == pytest.approx(D_SIGNED_ORACLE, rel=1e-14)
         assert ev.D_formula_signed == pytest.approx(D_SIGNED_ORACLE, rel=1e-9)
         assert ev.limit_fitted == pytest.approx(ev.D_formula_signed, rel=1e-5)
         assert ev.rate_coefficient == pytest.approx(RATE_ORACLE, abs=2e-3)
 
     def test_candidate_signs(self):
-        _, ev = vtf_offset(FARIMA03, _fp(FARIMA03), (100, 400))
+        _, ev = vtf_offset(VtfView(FARIMA03), (100, 400))
         assert ev.D_formula_signed > 0.0
         assert ev.D_formula_abs == pytest.approx(-0.3796, abs=1e-3)
 
     def test_domain_errors(self):
-        fp = _fp(FARIMA03)
         with pytest.raises(DomainError):
-            vtf_offset(Sum(((FARIMA03, 1.0),)), fp, (100, 200))
+            vtf_offset(VtfView(Sum(((FARIMA03, 1.0),))), (100, 200))
         with pytest.raises(DomainError):
-            vtf_offset(FARIMA03, FixedPoint(HurstParam(0.7), 1.0), (100, 200))
-        with pytest.raises(DomainError):
-            vtf_offset(FARIMA03, fp, (100,))
-        with pytest.raises(DomainError):
-            vtf_offset(FARIMA03, fp, (100, 200), stabilisation_tol=0.0)
+            vtf_offset(VtfView(FARIMA03), (100,))
 
 
 class TestCtfConvergenceSlope:
     def test_base_slope(self):
-        r = ctf_convergence_slope(FARIMA03, _fp(FARIMA03), 2, LEVELS_2048)
+        r = ctf_convergence_slope(VtfView(FARIMA03), 2, LEVELS_2048)
         assert not r.saturated
         assert -1.65 <= r.slope_hat <= -1.55
         assert -1.55 <= r.slope_full_range <= -1.45
         assert r.levels_used == (128, 256, 512, 1024)
 
     def test_leading_coefficient_comparison(self):
-        r = ctf_convergence_slope(FARIMA03, _fp(FARIMA03), 2, LEVELS_2048)
+        r = ctf_convergence_slope(VtfView(FARIMA03), 2, LEVELS_2048)
         assert r.coeff_predicted is not None
         assert r.coeff_predicted < 0.0 and r.coeff_measured < 0.0
         assert r.coeff_measured / r.coeff_predicted == pytest.approx(1.0, abs=0.1)
 
+    def test_prediction_follows_exact_offset_limit(self):
+        # A Sum whose components share H has a finite D, so it gets the
+        # prediction too; one with a lower-H component has D = inf.
+        same_h = Sum(((FARIMA03, 1.0), (Fgn(HurstParam(0.8), 1.0), 0.5)))
+        r = ctf_convergence_slope(VtfView(same_h), 2, LEVELS_2048)
+        assert r.coeff_predicted is not None
+        assert r.coeff_measured / r.coeff_predicted == pytest.approx(1.0, abs=0.1)
+        lower_h = builtin_experiment(3).perturbed()
+        assert math.isinf(VtfView(lower_h).D)
+        assert ctf_convergence_slope(VtfView(lower_h), 2, LEVELS_2048).coeff_predicted is None
+
     def test_white_perturbed_slope(self):
         z = builtin_experiment(1).perturbed()
-        r = ctf_convergence_slope(z, _fp(z), 2, LEVELS_2048)
+        r = ctf_convergence_slope(VtfView(z), 2, LEVELS_2048)
         assert -0.7 <= r.slope_hat <= -0.5
         assert r.coeff_predicted is None
 
     def test_weaker_lrd_perturbed_slope(self):
         z = builtin_experiment(3).perturbed()
-        r = ctf_convergence_slope(z, _fp(z), 2, LEVELS_2048)
+        r = ctf_convergence_slope(VtfView(z), 2, LEVELS_2048)
         assert -0.3 <= r.slope_hat <= -0.1
 
     def test_fgn_saturates(self):
         spec = Fgn(HurstParam(0.8), 1.0)
-        r = ctf_convergence_slope(spec, _fp(spec), 2, tuple(2**k for k in range(8)))
+        r = ctf_convergence_slope(VtfView(spec), 2, tuple(2**k for k in range(8)))
         assert r.saturated
         assert r.slope_hat == 0.0
         assert r.levels_used == ()
         assert r.coeff_predicted is None
 
     def test_validation(self):
-        fp = _fp(FARIMA03)
+        view = VtfView(FARIMA03)
         with pytest.raises(DomainError):
-            ctf_convergence_slope(FARIMA03, fp, 0, LEVELS_2048)
+            ctf_convergence_slope(view, 0, LEVELS_2048)
         with pytest.raises(DomainError, match="decades"):
-            ctf_convergence_slope(FARIMA03, fp, 2, (1, 2, 4))
+            ctf_convergence_slope(view, 2, (1, 2, 4))
 
     def test_perturbation_separates_slopes(self):
         levels = tuple(2**k for k in range(9))
         for k in (1, 2, 3):
             e = builtin_experiment(k)
-            base = ctf_convergence_slope(e.base, _fp(e.base), 2, levels, predict=False)
-            pert = ctf_convergence_slope(e.perturbed(), _fp(e.perturbed()), 2, levels, predict=False)
+            base = ctf_convergence_slope(VtfView(e.base), 2, levels)
+            pert = ctf_convergence_slope(VtfView(e.perturbed()), 2, levels)
             assert base.slope_hat < pert.slope_hat + 0.5
             assert base.slope_hat < pert.slope_hat  # strict separation in practice
 
 
 class TestSpectralGapProfile:
     def test_farima_power_law(self):
-        p = spectral_gap_profile(FARIMA03, _fp(FARIMA03), np.geomspace(1e-4, 0.5, 33))
+        p = spectral_gap_profile(FARIMA03, np.geomspace(1e-4, 0.5, 33))
         assert not p.degenerate
         assert p.slope_near_zero == pytest.approx(1.4, abs=0.1)
         assert p.nonnegative_on_grid is True
 
     def test_gap_vanishes_at_origin(self):
-        p = spectral_gap_profile(FARIMA03, _fp(FARIMA03), [1e-6, 1e-5, 1e-4])
+        p = spectral_gap_profile(FARIMA03, [1e-6, 1e-5, 1e-4])
         assert 0.0 < p.phi[0] < p.phi[1] < p.phi[2]
         assert p.phi[0] <= 1e-7
 
     def test_fgn_identically_zero(self):
         spec = Fgn(HurstParam(0.8), 1.7)
-        p = spectral_gap_profile(spec, _fp(spec), np.geomspace(1e-3, 0.5, 17))
+        p = spectral_gap_profile(spec, np.geomspace(1e-3, 0.5, 17))
         assert p.degenerate
         assert p.slope_near_zero == 0.0
         assert all(v == 0.0 for v in p.phi)
 
     def test_grid_validation(self):
-        fp = _fp(FARIMA03)
         with pytest.raises(DomainError):
-            spectral_gap_profile(FARIMA03, fp, [0.0, 0.1])
+            spectral_gap_profile(FARIMA03, [0.0, 0.1])
         with pytest.raises(DomainError):
-            spectral_gap_profile(FARIMA03, fp, [0.1, 0.6])
+            spectral_gap_profile(FARIMA03, [0.1, 0.6])
         with pytest.raises(DomainError):
-            spectral_gap_profile(FARIMA03, fp, [])
+            spectral_gap_profile(FARIMA03, [])
 
 
 class TestAcvfGapProfile:
     def test_frozen_gaps_and_envelope(self):
         grid = tuple(np.unique(np.round(np.geomspace(1.0, 2000.0, 41)).astype(int)))
-        p = acvf_gap_profile(FARIMA03, _fp(FARIMA03), grid)
+        p = acvf_gap_profile(FARIMA03, grid)
         assert p.d[0] == pytest.approx(D1_ORACLE, abs=1e-12)
         assert p.d[1] == pytest.approx(D2_ORACLE, abs=1e-12)
         assert p.envelope_variation is not None
@@ -186,7 +187,7 @@ class TestAcvfGapProfile:
 
     def test_partial_sums_bounded(self):
         grid = tuple(np.unique(np.round(np.geomspace(1.0, 2000.0, 41)).astype(int)))
-        p = acvf_gap_profile(FARIMA03, _fp(FARIMA03), grid)
+        p = acvf_gap_profile(FARIMA03, grid)
         assert abs(p.coefficient_sum) <= 1e-4
         assert p.partial_sum_max <= 0.5
         # T(n) settles near a constant rather than drifting.
@@ -194,21 +195,21 @@ class TestAcvfGapProfile:
 
     def test_fgn_gap_is_zero(self):
         spec = Fgn(HurstParam(0.8), 1.0)
-        p = acvf_gap_profile(spec, _fp(spec), range(0, 1501, 50))
+        p = acvf_gap_profile(spec, range(0, 1501, 50))
         assert all(v == 0.0 for v in p.d)
         assert p.partial_sum_max == 0.0
         assert p.envelope_variation == 0.0
 
     def test_lag_cap(self):
         with pytest.raises(DomainError):
-            acvf_gap_profile(FARIMA03, _fp(FARIMA03), [1, 20_000])
+            acvf_gap_profile(FARIMA03, [1, 20_000])
 
     def test_gaps_are_fourier_coefficients_of_the_density_gap(self):
         # d_n from the closed-form tables must equal the cosine transform
         # of phi; the two sides share no code (recursion vs quadrature).
-        fp = _fp(FARIMA03)
+        fp = FixedPoint.of_process(FARIMA03)
         star = Fgn(fp.H, fp.V)
-        p = acvf_gap_profile(FARIMA03, fp, range(0, 51))
+        p = acvf_gap_profile(FARIMA03, range(0, 51))
 
         def phi(x):
             return spectrum(FARIMA03, x) - spectrum(star, x)
@@ -230,7 +231,7 @@ class TestBrittleness:
     def test_builtin_index_validation_and_caching(self):
         with pytest.raises(DomainError):
             builtin_experiment(4)
-        assert builtin_experiment(1) is builtin_experiment(1)
+        assert builtin_experiment(1) == builtin_experiment(1)
 
     def test_experiment_validation(self):
         base = FARIMA03
@@ -360,6 +361,23 @@ class TestClosenessReport:
         assert rep.slope_hat == 0.0
         assert rep.D_exact == 0.0
         assert rep.matched_candidate == "both"
+
+    def test_g_coefficients_summed_once_per_report(self, monkeypatch):
+        # Only the offset candidates read the G coefficients; the slope's
+        # prediction comes from the exact D, and nothing is memoised.
+        calls = []
+        g_fourier_coeffs = asymptotics_lab.g_fourier_coeffs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return g_fourier_coeffs(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics_lab, "g_fourier_coeffs", counted)
+        closeness_report(FARIMA03)
+        closeness_report(FARIMA03)
+        assert len(calls) == 2
+        ctf_convergence_slope(VtfView(FARIMA03), 2, LEVELS_2048)
+        assert len(calls) == 2
 
     def test_invariants_enforced(self, farima_report):
         rep = farima_report

@@ -285,6 +285,19 @@ class TestBrittleCommand:
         assert rc == 2
         assert "style" in err
 
+    @pytest.mark.parametrize("field", ["levels", "lags"])
+    @pytest.mark.parametrize("grid", ["[NaN]", "[Infinity]", "[-Infinity]", '"abc"', "5", "[true, 10]"])
+    def test_malformed_config_grid_rejected(self, tmp_path, capsys, field, grid):
+        # NaN and Infinity are not JSON, but json.loads accepts them.
+        cfg = tmp_path / "e.json"
+        cfg.write_text(
+            '{"base": %s, "noise": %s, "weight": 0.1, "%s": %s}'
+            % (json.dumps(FARIMA03), json.dumps(WHITE), field, grid)
+        )
+        rc, _, err = run(["brittle", "--spec", str(cfg)], capsys)
+        assert rc == 2
+        assert field in err
+
 
 class TestSampleCommand:
     def test_deterministic_across_invocations(self, tmp_path, capsys):

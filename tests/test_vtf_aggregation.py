@@ -26,7 +26,6 @@ from lrdlab.kernel_special import HurstParam
 from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, Sum, WhiteNoise, matched_fgn
 from lrdlab.vtf_aggregation import (
     AggregatedVtf,
-    CtfView,
     FixedPoint,
     aggregate_ctf,
     aggregate_vtf,
@@ -249,9 +248,8 @@ def test_double_integrate_matches_nested_loop_oracle():
 
 def test_ctf_normalisation():
     v = vtf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)))
-    rho = CtfView(v)
-    assert rho.rho(1) == 1.0
-    assert rho.rho(10) == pytest.approx(v.omega(10) / v.omega(1), rel=1e-15)
+    assert aggregate_ctf(v, 1, 1) == 1.0
+    assert aggregate_ctf(v, 1, 10) == pytest.approx(v.omega(10) / v.omega(1), rel=1e-15)
 
 
 def test_fixed_point_closed_forms():
@@ -319,7 +317,7 @@ def test_aggregate_ctf_fgn_self_similarity():
 def test_aggregate_ctf_farima_converges_to_power():
     v = vtf(FracDiff(HurstParam(0.8), WhiteNoise(1.0)))
     assert aggregate_ctf(v, 100, 2) == pytest.approx(2.0**1.6, abs=1e-3)
-    assert aggregate_ctf(v, 1, 2) == CtfView(v).rho(2)
+    assert aggregate_ctf(v, 1, 2) == v.omega(2) / v.omega(1)
 
 
 def test_conv_identity_trivial():
