@@ -47,7 +47,6 @@ from .process_model import (
 from .sampler import SamplePath, empirical_acvf, sample, sample_many
 from .vtf_aggregation import (
     AggregatedVtf,
-    FixedPoint,
     VtfView,
     aggregate_ctf,
     aggregate_vtf,
@@ -68,7 +67,6 @@ __all__ = [
     "DomainError",
     "Fexp",
     "Fgn",
-    "FixedPoint",
     "FracDiff",
     "GCoeffs",
     "HurstParam",

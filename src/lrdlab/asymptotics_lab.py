@@ -10,7 +10,6 @@ process against a noisy variant sharing the same fixed point.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from scipy.special import polygamma
 
 from .covariance_engine import acvf, g_fourier_coeffs
 from .errors import CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance
+from .kernel_special import HurstParam, Tolerance, _as_int
 from .process_model import (
     Arma,
     Fgn,
@@ -30,7 +29,7 @@ from .process_model import (
     spec_to_json,
     spectrum,
 )
-from .vtf_aggregation import FixedPoint, VtfView
+from .vtf_aggregation import VtfView
 
 __all__ = [
     "OffsetEvidence",
@@ -69,15 +68,10 @@ _J_SUM = 2048
 def _int_grid(values, what: str, minimum: int = 1) -> tuple[int, ...]:
     if isinstance(values, str) or not np.iterable(values):
         raise DomainError(f"{what} must be integers >= {minimum}, got {values!r}")
-    out = []
-    for v in values:
-        real = isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-        if not real or int(v) != v or v < minimum:
-            raise DomainError(f"{what} must be integers >= {minimum}, got {v!r}")
-        out.append(int(v))
+    out = tuple(_as_int(v, what, minimum) for v in values)
     if not out:
         raise DomainError(f"{what} must be non-empty")
-    return tuple(out)
+    return out
 
 
 def _offsets(view: VtfView, v_star: float, n) -> np.ndarray:
@@ -142,8 +136,6 @@ def vtf_offset(view: VtfView, n_probe, *, tol: Tolerance = Tolerance()) -> tuple
     included for diagnosis.
     """
     spec = view.spec
-    if not isinstance(spec, (Fgn, FracDiff)):
-        raise DomainError("VTF offset needs a fractional Gaussian noise or fractionally differenced spec")
     star = matched_fgn(spec)
     probes = tuple(sorted(set(_int_grid(n_probe, "n_probe"))))
     if len(probes) < 2:
@@ -203,9 +195,7 @@ def ctf_convergence_slope(view: VtfView, n: int, levels) -> SlopeReport:
     scaled by m^(2H).
     """
     star = matched_fgn(view.spec)
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"lag must be a positive integer, got {n}")
+    n = _as_int(n, "lag n", 1)
     lv = tuple(sorted(set(_int_grid(levels, "levels"))))
     if len(lv) < 3 or lv[-1] < 100 * lv[0]:
         raise DomainError("levels must span at least two decades")
@@ -404,10 +394,13 @@ class BrittlenessExperiment:
 
 @dataclass(frozen=True)
 class BrittlenessResult:
-    """Normalised VTF ratios omega(mn)/omega*(mn) for base and perturbed."""
+    """Normalised VTF ratios omega(mn)/omega*(mn) for base and perturbed.
+
+    ``fixed_point`` is the matched fGn of the base process.
+    """
 
     experiment: BrittlenessExperiment
-    fixed_point: FixedPoint
+    fixed_point: Fgn
     rows: tuple[tuple[str, int, int, float], ...]
 
     def ratio(self, label: str, m: int, n: int) -> float:
@@ -427,15 +420,17 @@ def run_brittleness(experiment: BrittlenessExperiment, tol: Tolerance = Toleranc
     ratio families tend to 1 under aggregation; the perturbed one gets
     there more slowly.
     """
-    fp = FixedPoint.of_process(experiment.base)
+    fp = matched_fgn(experiment.base)
     perturbed = VtfView(experiment.perturbed(), tol)
     grid = [(m, n) for m in experiment.levels for n in experiment.lags]
     rows: list[tuple[str, int, int, float]] = []
     # The base is the perturbed Sum's first component, already built.
     for label, view in (("base", perturbed.components[0]), ("perturbed", perturbed)):
-        fp_own = FixedPoint.of_process(view.spec)
+        own = matched_fgn(view.spec)
         omega = view.omega([m * n for m, n in grid])
-        rows.extend((label, m, n, float(w) / fp_own.omega(m * n)) for (m, n), w in zip(grid, omega))
+        rows.extend(
+            (label, m, n, float(w) / (own.V * float(m * n) ** (2.0 * own.H.H))) for (m, n), w in zip(grid, omega)
+        )
     return BrittlenessResult(experiment=experiment, fixed_point=fp, rows=tuple(rows))
 
 
@@ -453,6 +448,7 @@ def builtin_experiment(index: int) -> BrittlenessExperiment:
     long-memory noise.  All components are normalised to unit process
     variance.
     """
+    index = _as_int(index, "experiment index", None)
     if index == 1:
         base: ProcessSpec = _unit_variance_white_farima(0.3)
         noise: ProcessSpec = Fgn(HurstParam(0.5), 1.0)
@@ -478,12 +474,12 @@ class ClosenessReport:
     ``D_hat`` is the offset at the largest probe, ``D_exact`` its exact
     limit.  ``matched_candidate`` names which closed-form candidate for the
     limit agrees with D_exact within 1e-4 relative ("signed", "absolute",
-    "both" or "neither").  ``curves`` holds the labelled (abscissa, value)
+    "both" or "neither", which an infinite D_exact always gets).  ``curves`` holds the labelled (abscissa, value)
     series behind the scalar summaries.
     """
 
     spec: ProcessSpec
-    fixed_point: FixedPoint
+    fixed_point: Fgn
     D_hat: float
     D_exact: float
     D_formula_signed: float
@@ -512,6 +508,8 @@ class ClosenessReport:
 
 
 def _candidate_name(limit: float, signed: float, absolute: float, scale: float) -> str:
+    if not math.isfinite(limit):
+        return "neither"
     tol = max(_REL_MATCH * abs(limit), 1e-8 * scale)
     matches_signed = abs(signed - limit) <= tol
     matches_abs = abs(absolute - limit) <= tol
@@ -542,7 +540,7 @@ def closeness_report(
     exponent of |offset(n)|, reported as 0 when the offset has stabilised
     and clamped into [0, 2H] (its defining range as a growth index).
     """
-    fp = FixedPoint.of_process(spec)
+    fp = matched_fgn(spec)
     probes = tuple(sorted(set(_int_grid(n_probe, "n_probe"))))
     lv = _int_grid(slope_levels, "slope_levels")
     grid = (

@@ -32,7 +32,7 @@ from .asymptotics_lab import (
 )
 from .covariance_engine import _fgn_block, acvf
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import Tolerance
+from .kernel_special import Tolerance, _as_int
 from .process_model import spec_from_json, spec_to_json, spectrum
 from .sampler import sample, sample_many
 from .vtf_aggregation import VtfView, _lags, aggregate_ctf, aggregate_vtf
@@ -76,10 +76,7 @@ def _tolerance(args) -> Tolerance:
 
 
 def _positive_int(args, name: str, minimum: int = 1) -> int:
-    value = getattr(args, name)
-    if value < minimum:
-        raise DomainError(f"--{name} must be at least {minimum}, got {value}")
-    return value
+    return _as_int(getattr(args, name), f"--{name}", minimum)
 
 
 def _fmt(value) -> str:

@@ -22,7 +22,7 @@ from scipy.special import gammaln
 
 from ._filon import filon_cos_integrals
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance, _as_hurst
+from .kernel_special import HurstParam, Tolerance, _as_hurst, _as_int
 from .process_model import (
     Fgn,
     FracDiff,
@@ -98,9 +98,7 @@ def fgn_acvf(H: float | HurstParam, V: float, n: int) -> float:
     h = _as_hurst(H)
     if not (V > 0.0) or not math.isfinite(V):
         raise DomainError(f"V must be positive, got {V!r}")
-    if n < 0:
-        raise DomainError(f"lag must be nonnegative, got {n}")
-    return float(_fgn_block(h.H, V, np.asarray([n]))[0])
+    return float(_fgn_block(h.H, V, np.asarray([_as_int(n, "lag n")]))[0])
 
 
 def _farima00_values(d: float, sigma2: float, n_max: int) -> np.ndarray:
@@ -123,17 +121,8 @@ def farima00_acvf(d: float, sigma2: float, n: int) -> float:
         raise DomainError(f"d must lie in (0, 1/2), got {d!r}")
     if not (sigma2 > 0.0) or not math.isfinite(sigma2):
         raise DomainError(f"sigma2 must be positive, got {sigma2!r}")
-    if n < 0:
-        raise DomainError(f"lag must be nonnegative, got {n}")
+    n = _as_int(n, "lag n")
     return float(_farima00_values(d, sigma2, n)[n])
-
-
-def _lag_index(n) -> int:
-    """|n| for an integer lag n; a fractional lag is a DomainError."""
-    k = int(n)
-    if k != n:
-        raise DomainError(f"lag must be an integer, got {n!r}")
-    return abs(k)
 
 
 def _inner_tol(tol: Tolerance) -> Tolerance:
@@ -161,7 +150,7 @@ class GCoeffs:
         return len(self.values) - 1
 
     def G(self, j: int) -> float:
-        k = _lag_index(j)
+        k = abs(_as_int(j, "coefficient index j", None))
         if k > self.j_max:
             raise CoverageError(f"coefficient {j} beyond cached j_max {self.j_max}")
         return float(self.values[k])
@@ -214,8 +203,7 @@ def g_fourier_coeffs(
     h = _as_hurst(H)
     if not h.is_lrd or h.H >= 1.0:
         raise DomainError("coefficients of g need a long-range dependent H in (1/2, 1)")
-    if J_max < 8:
-        raise DomainError(f"J_max must be at least 8, got {J_max}")
+    J_max = _as_int(J_max, "J_max", 8)
     spec = FracDiff(h, driver)
     star = matched_fgn(spec)
     inner = _inner_tol(tol)
@@ -256,7 +244,7 @@ class AcvfTable:
         return len(self.values) - 1
 
     def gamma(self, n: int) -> float:
-        k = _lag_index(n)
+        k = abs(_as_int(n, "lag n", None))
         if k > self.n_max:
             raise CoverageError(f"lag {n} beyond cached n_max {self.n_max}")
         return float(self.values[k])
@@ -324,9 +312,7 @@ def acvf(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTab
     and G-coefficient routes are cross-checks, available separately as
     :func:`acvf_via_subtraction` and :func:`acvf_via_convolution`.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    return AcvfTable(spec, *_route_values(spec, n_max, tol))
+    return AcvfTable(spec, *_route_values(spec, _as_int(n_max, "n_max"), tol))
 
 
 def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTable:
@@ -337,8 +323,7 @@ def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Toleran
     bounded, so Filon quadrature integrates it.  Exists as an independent
     cross-check of :func:`acvf`; its cost grows with the square of n_max.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _as_int(n_max, "n_max")
     star = matched_fgn(spec)
     inner = _inner_tol(tol)
 
@@ -366,8 +351,7 @@ def acvf_via_convolution(
     :func:`acvf_via_subtraction`; J is the cached range of ``coeffs``
     (computed here when not supplied).
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _as_int(n_max, "n_max")
     h = _as_hurst(H)
     gc = coeffs if coeffs is not None else g_fourier_coeffs(h, driver, J_max, tol)
     spec = FracDiff(h, driver)

@@ -10,6 +10,7 @@ variance-time functions out of these primitives.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,7 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("tolerances must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
+        object.__setattr__(self, "max_terms", _as_int(self.max_terms, "max_terms", 1))
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,21 @@ def _as_hurst(H: float | HurstParam) -> HurstParam:
     return H if isinstance(H, HurstParam) else HurstParam(float(H))
 
 
+def _as_int(value, what: str, minimum: int | None = 0) -> int:
+    """``value`` as a plain int, at least ``minimum`` unless that is None.
+
+    Integral floats (3.0) and numpy integers pass; a bool, a fraction, a
+    non-finite value or a non-number raises DomainError naming ``what``.
+    """
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and math.isfinite(value) and float(value).is_integer()
+    )
+    if isinstance(value, bool) or not integral or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def c_of_H(H: float | HurstParam) -> float:
     """Spectral constant C(H) = Gamma(2H) sin(pi H) H / pi.
 
@@ -100,8 +115,7 @@ def frac_diff_coeffs(d: float, n_max: int) -> np.ndarray:
     """
     if not (-1.0 < d < 0.5) or not math.isfinite(d):
         raise DomainError(f"fractional order must lie in (-1, 1/2), got {d!r}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    n_max = _as_int(n_max, "n_max")
     psi = np.empty(n_max + 1, dtype=np.float64)
     psi[0] = 1.0
     for j in range(1, n_max + 1):

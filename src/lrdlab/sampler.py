@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance_engine import acvf
 from .errors import ConvergenceError, DomainError
-from .kernel_special import Tolerance
+from .kernel_special import Tolerance, _as_int
 from .process_model import ProcessSpec
 
 __all__ = ["SamplePath", "sample", "sample_many", "empirical_acvf"]
@@ -44,8 +42,8 @@ _MAX_EMBEDDING = 2**28
 
 
 def _check_seed(seed) -> int:
-    s = int(seed)
-    if s != seed or not (0 <= s < _SEED_BOUND):
+    s = _as_int(seed, "seed")
+    if s >= _SEED_BOUND:
         raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     return s
 
@@ -67,13 +65,6 @@ class SamplePath:
     @property
     def n(self) -> int:
         return len(self.values)
-
-
-def _path_length(N) -> int:
-    n = int(N)
-    if n != N or n < 2:
-        raise DomainError(f"N must be an integer >= 2, got {N!r}")
-    return n
 
 
 def _embedding_size(n: int) -> int:
@@ -155,24 +146,10 @@ def sample(spec: ProcessSpec, N: int, seed, *, tol: Tolerance = Tolerance()) -> 
     negative leftovers are clipped with a logged warning and strongly
     negative ones raise.
     """
-    n = _path_length(N)
+    n = _as_int(N, "N", 2)
     s = _check_seed(seed)
     lam, m = _embedding(spec, n, tol)
     return SamplePath(spec=spec, seed=s, values=_draw(lam, m, n, s))
-
-
-def _worker_count(count: int) -> int:
-    env = os.environ.get("LRD_LAB_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise DomainError(f"LRD_LAB_THREADS must be an integer, got {env!r}") from exc
-        if cap < 1:
-            raise DomainError(f"LRD_LAB_THREADS must be positive, got {cap}")
-    else:
-        cap = min(4, os.cpu_count() or 1)
-    return max(1, min(cap, count))
 
 
 def sample_many(
@@ -181,31 +158,19 @@ def sample_many(
     """Draw independent paths; the batch seed expands into per-path seeds.
 
     Path i uses the i-th state of the seed sequence spawned from ``seed``,
-    so results do not depend on scheduling and each returned path equals
-    sample(spec, N, path.seed) bit-for-bit.  A batch of more than 2^28
-    values raises DomainError before any seed or table is built.
-    Parallelism is capped by the LRD_LAB_THREADS environment variable.
+    and each returned path equals sample(spec, N, path.seed) bit-for-bit.
+    A batch of more than 2^28 values raises DomainError before any seed or
+    table is built.
     """
-    c = int(count)
-    if c != count or c < 1:
-        raise DomainError(f"count must be a positive integer, got {count!r}")
-    n = _path_length(N)
+    c = _as_int(count, "count", 1)
+    n = _as_int(N, "N", 2)
     if c * n > _MAX_EMBEDDING:  # before any seed or table is built
         raise DomainError(
             f"{c} paths of N = {n} are {c * n} values, beyond the limit 2^28 = {_MAX_EMBEDDING}"
         )
     seeds = np.random.SeedSequence(_check_seed(seed)).generate_state(c, np.uint64)
     lam, m = _embedding(spec, n, tol)
-
-    def one(i: int) -> SamplePath:
-        s = int(seeds[i])
-        return SamplePath(spec=spec, seed=s, values=_draw(lam, m, n, s))
-
-    workers = _worker_count(c)
-    if workers == 1:
-        return [one(i) for i in range(c)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(c)))
+    return [SamplePath(spec=spec, seed=s, values=_draw(lam, m, n, s)) for s in seeds.tolist()]
 
 
 def empirical_acvf(paths, lags) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +187,8 @@ def empirical_acvf(paths, lags) -> tuple[np.ndarray, np.ndarray]:
     means = []
     errors = []
     for lag in lags:
-        k = int(lag)
-        if k != lag or not (0 <= k < n):
+        k = _as_int(lag, "lag")
+        if k >= n:
             raise DomainError(f"lag must be an integer in [0, {n}), got {lag!r}")
         per_path = np.einsum("ij,ij->i", arr[:, : n - k], arr[:, k:]) / (n - k)
         means.append(float(per_path.mean()))

@@ -20,12 +20,11 @@ from scipy.special import bernoulli, gammaln
 
 from .covariance_engine import _DIRECT_CUTOFF, _driver_acvf, _fgn_block
 from .errors import DomainError
-from .kernel_special import HurstParam, Tolerance, _as_hurst
-from .process_model import Fgn, FracDiff, ProcessSpec, Sum, matched_fgn
+from .kernel_special import Tolerance, _as_int
+from .process_model import Fgn, FracDiff, ProcessSpec, Sum
 
 __all__ = [
     "VtfView",
-    "FixedPoint",
     "AggregatedVtf",
     "vtf",
     "double_integrate",
@@ -202,30 +201,6 @@ def vtf(spec: ProcessSpec, tol: Tolerance = Tolerance()) -> VtfView:
 
 
 @dataclass(frozen=True)
-class FixedPoint:
-    """Renormalisation fixed point: omega*(m) = V m^(2H), rho*(n) = n^(2H)."""
-
-    H: HurstParam
-    V: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "H", _as_hurst(self.H))
-        if not (self.V > 0.0) or not math.isfinite(self.V):
-            raise DomainError(f"V must be positive, got {self.V!r}")
-
-    @classmethod
-    def of_process(cls, spec: ProcessSpec) -> "FixedPoint":
-        star = matched_fgn(spec)
-        return cls(star.H, star.V)
-
-    def omega(self, m) -> float:
-        return self.V * float(np.abs(m)) ** (2.0 * self.H.H)
-
-    def rho(self, n) -> float:
-        return float(np.abs(n)) ** (2.0 * self.H.H)
-
-
-@dataclass(frozen=True)
 class AggregatedVtf:
     """Level-m block-mean view: omega^(m)(n) = omega(mn) / m^2."""
 
@@ -233,8 +208,7 @@ class AggregatedVtf:
     m: int
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError(f"aggregation level must be >= 1, got {self.m}")
+        object.__setattr__(self, "m", _as_int(self.m, "aggregation level m", 1))
 
     @property
     def variance(self) -> float:
@@ -251,8 +225,7 @@ def aggregate_vtf(v: VtfView, m: int) -> AggregatedVtf:
 
 def aggregate_ctf(v: VtfView, m: int, n):
     """Correlation-time function of the level-m aggregate: omega(mn)/omega(m)."""
-    if m < 1:
-        raise DomainError(f"aggregation level must be >= 1, got {m}")
+    m = _as_int(m, "aggregation level m", 1)
     return v.omega(_lags(n, m)) / v.omega(m)
 
 

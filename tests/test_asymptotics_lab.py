@@ -32,8 +32,8 @@ from lrdlab import asymptotics_lab, vtf_aggregation
 from lrdlab.covariance_engine import acvf
 from lrdlab.errors import CoverageError, DomainError
 from lrdlab.kernel_special import HurstParam
-from lrdlab.process_model import Fgn, FracDiff, Sum, WhiteNoise, spec_from_json, spectrum
-from lrdlab.vtf_aggregation import FixedPoint, VtfView
+from lrdlab.process_model import Fgn, FracDiff, Sum, WhiteNoise, matched_fgn, spec_from_json, spectrum
+from lrdlab.vtf_aggregation import VtfView
 
 FARIMA03 = FracDiff(HurstParam(0.8), WhiteNoise(1.0))
 LEVELS_2048 = tuple(2**k for k in range(11))
@@ -82,9 +82,12 @@ class TestVtfOffset:
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            vtf_offset(VtfView(Sum(((FARIMA03, 1.0),))), (100, 200))
-        with pytest.raises(DomainError):
             vtf_offset(VtfView(FARIMA03), (100,))
+
+    def test_sum_offset_matches_its_component(self):
+        d_hat, ev = vtf_offset(VtfView(Sum(((FARIMA03, 1.0),))), (100, 200))
+        d_ref, ref = vtf_offset(VtfView(FARIMA03), (100, 200))
+        assert (d_hat, ev.offsets, ev.D_exact) == (d_ref, ref.offsets, ref.D_exact)
 
 
 class TestCtfConvergenceSlope:
@@ -207,8 +210,7 @@ class TestAcvfGapProfile:
     def test_gaps_are_fourier_coefficients_of_the_density_gap(self):
         # d_n from the closed-form tables must equal the cosine transform
         # of phi; the two sides share no code (recursion vs quadrature).
-        fp = FixedPoint.of_process(FARIMA03)
-        star = Fgn(fp.H, fp.V)
+        star = matched_fgn(FARIMA03)
         p = acvf_gap_profile(FARIMA03, range(0, 51))
 
         def phi(x):

@@ -9,6 +9,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from helpers import farima00_offset_constants
 
 from lrdlab import cli, sampler
 from lrdlab.errors import ConvergenceError, CoverageError
@@ -227,6 +228,25 @@ class TestClosenessCommand:
         assert header == ["series_label", "m", "n", "value"]
         assert sum(1 for line in out.splitlines() if line.startswith("series_label")) == 1
         assert {r[0] for r in rows} == {"vtf_offset", "ctf_gap", "spectral_gap", "acvf_gap"}
+
+    @pytest.mark.parametrize(
+        "noise_h, d_exact",
+        # A weaker-memory component puts its whole VTF in the offset, so D is
+        # infinite; at the same H the fGn adds nothing to FARIMA03's D.
+        [(0.6, math.inf), (0.8, farima00_offset_constants(0.3)[0])],
+    )
+    def test_sum_spec_reports(self, tmp_path, capsys, noise_h, d_exact):
+        noise = {"type": "fgn", "H": noise_h, "V": 1.0}
+        spec = {"type": "sum", "components": [{"spec": FARIMA03, "weight": 1.0}, {"spec": noise, "weight": 0.5}]}
+        path = write_spec(tmp_path, spec)
+        rc, out, _ = run(["closeness", "--spec", path, "--format", "csv"], capsys)
+        assert rc == 0
+        assert {r[0] for r in parse_csv(out)[1]} == {"vtf_offset", "ctf_gap", "spectral_gap", "acvf_gap"}
+        rc, out, _ = run(["closeness", "--spec", path], capsys)
+        assert rc == 0
+        rep = json.loads(out)
+        assert rep["D_exact"] == pytest.approx(d_exact, rel=1e-12)
+        assert rep["matched_candidate"] == "neither"
 
 
 class TestBrittleCommand:

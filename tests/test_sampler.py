@@ -145,20 +145,6 @@ class TestSampleMany:
         for p in sample_many(FGN08, n, 99, 2):
             assert p.values.tobytes() == sample(FGN08, n, p.seed).values.tobytes()
 
-    def test_thread_cap_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv("LRD_LAB_THREADS", raising=False)
-        serial = sample_many(WHITE, 128, 5, 6)
-        monkeypatch.setenv("LRD_LAB_THREADS", "3")
-        pooled = sample_many(WHITE, 128, 5, 6)
-        for a, b in zip(serial, pooled):
-            assert a.values.tobytes() == b.values.tobytes()
-
-    @pytest.mark.parametrize("bad", ["zero", "-2", "0"])
-    def test_rejects_bad_thread_cap(self, monkeypatch, bad):
-        monkeypatch.setenv("LRD_LAB_THREADS", bad)
-        with pytest.raises(DomainError):
-            sample_many(WHITE, 16, 1, 4)
-
     @pytest.mark.parametrize("bad_count", [0, -1, 2.5])
     def test_rejects_bad_count(self, bad_count):
         with pytest.raises(DomainError):

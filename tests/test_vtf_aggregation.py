@@ -26,7 +26,6 @@ from lrdlab.kernel_special import HurstParam
 from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, Sum, WhiteNoise, matched_fgn
 from lrdlab.vtf_aggregation import (
     AggregatedVtf,
-    FixedPoint,
     aggregate_ctf,
     aggregate_vtf,
     conv_double_int_identity_check,
@@ -253,20 +252,18 @@ def test_ctf_normalisation():
 
 
 def test_fixed_point_closed_forms():
-    fp = FixedPoint(HurstParam(0.8), 2.0)
+    fp = vtf(Fgn(HurstParam(0.8), 2.0))
     assert fp.omega(10) == pytest.approx(2.0 * 10.0**1.6, rel=1e-15)
-    assert fp.rho(10) == pytest.approx(10.0**1.6, rel=1e-15)
+    assert aggregate_ctf(fp, 1, 10) == pytest.approx(10.0**1.6, rel=1e-15)
     assert fp.omega(-10) == fp.omega(10)
     with pytest.raises(DomainError):
-        FixedPoint(HurstParam(0.8), 0.0)
+        Fgn(HurstParam(0.8), 0.0)
 
 
 def test_fixed_point_of_process_matches_frozen_variance():
-    fp = FixedPoint.of_process(FracDiff(HurstParam(0.8), WhiteNoise(1.0)))
-    assert fp.H.H == 0.8
-    assert fp.V == pytest.approx(MATCHED_V_FARIMA03, rel=1e-12)
     star = matched_fgn(FracDiff(HurstParam(0.8), WhiteNoise(1.0)))
-    assert fp.V == star.V
+    assert star.H.H == 0.8
+    assert star.V == pytest.approx(MATCHED_V_FARIMA03, rel=1e-12)
 
 
 def test_aggregate_vtf_identity_and_fixed_point():
