@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 from .covariance_engine import acvf, g_fourier_coeffs
 from .errors import CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance, _as_int
+from .kernel_special import HurstParam, Tolerance, _as_int, _gamma_ratio, _trigamma
 from .process_model import (
     Arma,
     Fgn,
@@ -116,7 +115,7 @@ def _offset_closed_forms(spec: ProcessSpec, v_star: float, tol: Tolerance) -> tu
     weighted = j**h2 * g
     lo = max(64, coeffs.j_max // 4)
     c_env = float(np.mean(j[lo - 1 :] ** (h2 + 2.0) * g[lo - 1 :]))
-    tail = float(polygamma(1, coeffs.j_max + 1))
+    tail = _trigamma(coeffs.j_max + 1)
     scale = -2.0 * v_star
     signed = scale * (math.fsum(weighted) + c_env * tail)
     absolute = scale * (math.fsum(np.abs(weighted)) + abs(c_env) * tail)
@@ -436,7 +435,8 @@ def run_brittleness(experiment: BrittlenessExperiment, tol: Tolerance = Toleranc
 
 def _unit_variance_white_farima(d: float) -> FracDiff:
     # Innovation variance chosen so the process variance is exactly 1.
-    sigma2 = math.exp(2.0 * math.lgamma(1.0 - d) - math.lgamma(1.0 - 2.0 * d))
+    dl = np.longdouble(d)
+    sigma2 = _gamma_ratio([1 - dl, 1 - dl], [1 - 2 * dl])
     return FracDiff(HurstParam(0.5 + d), WhiteNoise(sigma2))
 
 

@@ -18,11 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._filon import filon_cos_integrals
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance, _as_hurst, _as_int
+from .kernel_special import HurstParam, Tolerance, _as_hurst, _as_int, _gamma_ratio
 from .process_model import (
     Fgn,
     FracDiff,
@@ -105,7 +104,8 @@ def _farima00_values(d: float, sigma2: float, n_max: int) -> np.ndarray:
     # gamma(0) = sigma^2 Gamma(1-2d)/Gamma(1-d)^2, then the ratio recursion
     # gamma(n) = gamma(n-1) (n-1+d)/(n-d) in extended precision, so rounding
     # does not accumulate; valid on the whole stationary band |d| < 1/2.
-    g0 = sigma2 * math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
+    dl = np.longdouble(d)
+    g0 = _gamma_ratio([1 - 2 * dl], [1 - dl, 1 - dl], sigma2)
     k = np.arange(1, n_max + 1, dtype=np.longdouble)
     return (g0 * np.concatenate(([1.0], np.cumprod((k - 1.0 + d) / (k - d))))).astype(np.float64)
 

@@ -4,7 +4,9 @@ Everything here is deterministic scalar/array math with explicit error
 control: the spectral constant C(H), fractional differencing
 weights, and the lattice sum that appears in the fractional Gaussian noise
 spectral density.  Higher layers build densities, covariances and
-variance-time functions out of these primitives.
+variance-time functions out of these primitives.  The Gamma ratios and the
+trigamma tail they need are evaluated here in extended precision
+(``np.longdouble``) and rounded to double once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError, DomainError
 
@@ -92,6 +93,74 @@ def _as_int(value, what: str, minimum: int | None = 0) -> int:
     return int(value)
 
 
+# B_0..B_13 (B_1 = -1/2), each numerator/denominator pair divided once in
+# extended precision.
+_BERNOULLI = np.array([1, -1, 1, 0, -1, 0, 1, 0, -1, 0, 5, 0, -691, 0], dtype=np.longdouble) / np.array(
+    [1, 2, 6, 1, 30, 1, 42, 1, 30, 1, 66, 1, 2730, 1], dtype=np.longdouble
+)
+# pi in extended precision: the double nearest pi plus its rounding error.
+_PI = np.longdouble(math.pi) + np.longdouble(1.2246467991473532e-16)
+_HALF_LOG_2PI = np.log(2 * _PI) / 2
+# Arguments are shifted up to here before an asymptotic series is summed;
+# through B_12 the first omitted term is below 1e-19 relative.
+_SERIES_START = 20
+
+
+def _log_gamma_parts(x) -> tuple[np.longdouble, np.longdouble]:
+    """(s, p) with Gamma(x) = exp(s) / p for x > 0, in extended precision.
+
+    Gamma(x) = Gamma(x+n) / (x (x+1) ... (x+n-1)) with x + n >= 20, where
+    log Gamma is Stirling's series (z - 1/2) log z - z + log(2 pi)/2 +
+    sum_k B_2k / (2k (2k-1) z^(2k-1)), k = 1..6 (DLMF 5.11.1).
+    """
+    z, p = np.longdouble(x), np.longdouble(1)
+    while z < _SERIES_START:
+        p, z = p * z, z + 1
+    u, series = 1 / (z * z), np.longdouble(0)
+    for k in range(6, 0, -1):
+        series = (series + _BERNOULLI[2 * k] / (2 * k * (2 * k - 1))) * u
+    return (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series * z, p
+
+
+def _gamma_ratio(num, den, factor=1.0) -> float:
+    """factor * prod Gamma(num) / prod Gamma(den), rounded to double once.
+
+    Arguments must be positive.  The Stirling logs are summed and the shift
+    products multiplied in ``np.longdouble``, so pass arguments and
+    ``factor`` formed in extended precision wherever double would round them.
+    """
+    log_ratio, scale = np.longdouble(0), np.longdouble(factor)
+    for x in num:
+        s, p = _log_gamma_parts(x)
+        log_ratio, scale = log_ratio + s, scale / p
+    for x in den:
+        s, p = _log_gamma_parts(x)
+        log_ratio, scale = log_ratio - s, scale * p
+    return float(scale * np.exp(log_ratio))
+
+
+def _trigamma(x) -> float:
+    """psi'(x) for x > 0, rounded to double once.
+
+    The recurrence psi'(x) = psi'(x+1) + 1/x^2 lifts x to >= 20, where the
+    series 1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1), k = 1..6 (DLMF 5.15.8),
+    is summed in extended precision.
+    """
+    z, head = np.longdouble(x), np.longdouble(0)
+    while z < _SERIES_START:
+        head, z = head + 1 / (z * z), z + 1
+    u, series = 1 / (z * z), np.longdouble(0)
+    for k in range(6, 0, -1):
+        series = (series + _BERNOULLI[2 * k]) * u
+    return float(head + (1 + 1 / (2 * z) + series) / z)
+
+
+def _sin_pi(h: float) -> np.longdouble:
+    # sin(pi h) for h in (0, 1]; 1 - h is exact in double for h >= 1/2, so
+    # the argument stays accurate relative to the result near h = 1.
+    return np.sin(_PI * np.longdouble(min(h, 1.0 - h)))
+
+
 def c_of_H(H: float | HurstParam) -> float:
     """Spectral constant C(H) = Gamma(2H) sin(pi H) H / pi.
 
@@ -102,7 +171,7 @@ def c_of_H(H: float | HurstParam) -> float:
     h = _as_hurst(H).H
     if h >= 1.0:
         raise DomainError(f"c_of_H requires H in (0, 1), got {h!r}")
-    return math.exp(gammaln(2.0 * h)) * math.sin(math.pi * h) * h / math.pi
+    return _gamma_ratio([2.0 * h], [], _sin_pi(h) * h / _PI)
 
 
 def frac_diff_coeffs(d: float, n_max: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .kernel_special import HurstParam, Tolerance, _as_hurst, c_of_H, fgn_lattice_sum
+from .kernel_special import HurstParam, Tolerance, _as_hurst, _gamma_ratio, _sin_pi, c_of_H, fgn_lattice_sum
 
 __all__ = [
     "ShortMemorySpec",
@@ -302,7 +302,9 @@ def matched_fgn(spec: ProcessSpec) -> Fgn:
 
     Returns Fgn(H_dom, V) with V = c_f / ((2 pi)^(2 - 2H) C(H)), the unique
     fGn whose density shares the x -> 0 power law of the spec.  Idempotent
-    on fGn inputs.
+    on fGn inputs.  V is formed per dominating component: an fGn's own V,
+    or h(0) / (2 pi C(H)) for a FracDiff, in one extended-precision
+    expression; a Sum adds them with its weights.
     """
     if isinstance(spec, Fgn):
         if not (0.5 < spec.H.H < 1.0):
@@ -311,8 +313,16 @@ def matched_fgn(spec: ProcessSpec) -> Fgn:
     hd = dominating_hurst(spec)
     if not (0.5 < hd < 1.0):
         raise DomainError("matching requires a long-range dependent spec")
-    v = prefactor(spec) / (_TWO_PI ** (2.0 - 2.0 * hd) * c_of_H(hd))
-    return Fgn(HurstParam(hd), v)
+    return Fgn(HurstParam(hd), _matched_v(spec, hd))
+
+
+def _matched_v(spec: ProcessSpec, hd: float) -> float:
+    if isinstance(spec, Fgn):
+        return spec.V
+    if isinstance(spec, FracDiff):
+        # h(0) / (2 pi C(H)) = h(0) / (2 H sin(pi H) Gamma(2H))
+        return _gamma_ratio([], [2.0 * hd], driver_density(spec.driver, 0.0) / (2 * hd * _sin_pi(hd)))
+    return sum(w * _matched_v(comp, hd) for comp, w in spec.components if dominating_hurst(comp) == hd)
 
 
 # JSON (de)serialisation for the CLI.  Parsing is strict: unknown fields

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bernoulli, gammaln
 
 from .covariance_engine import _DIRECT_CUTOFF, _driver_acvf, _fgn_block
 from .errors import DomainError
-from .kernel_special import Tolerance, _as_int
+from .kernel_special import _BERNOULLI, Tolerance, _as_int, _gamma_ratio
 from .process_model import Fgn, FracDiff, ProcessSpec, Sum
 
 __all__ = [
@@ -80,18 +79,18 @@ class _Farima00:
 
     def __init__(self, d: float):
         self.a = 1.0 + 2.0 * d
-        gamma0 = math.exp(gammaln(1.0 - 2.0 * d) - 2.0 * gammaln(1.0 - d))
-        self.V = math.exp(gammaln(1.0 - 2.0 * d) - gammaln(1.0 + d) - gammaln(1.0 - d)) / self.a
-        self.D = d * gamma0 / self.a
+        dl = np.longdouble(d)
+        gamma0 = _gamma_ratio([1 - 2 * dl], [1 - dl, 1 - dl])
+        self.V = _gamma_ratio([1 - 2 * dl], [1 + dl, 1 - dl], 1 / (1 + 2 * dl))
+        self.D = _gamma_ratio([1 - 2 * dl], [1 - dl, 1 - dl], dl / (1 + 2 * dl))
         # (1+2d) omega(m)/gamma(0) = (1+d) R(m)/R(1) + d; omega(1) = gamma(0) exactly.
         k = np.arange(1, _DIRECT_CUTOFF, dtype=np.longdouble)
         scaled = (1.0 + d) * np.concatenate(([1.0], np.cumprod((k + 1.0 + d) / (k - d)))) + d
         self._small = np.concatenate(([0.0], (gamma0 * scaled / scaled[0]).astype(np.float64)))
-        b = bernoulli(13)
         self._series = []  # coefficients of L in 1/m^2, highest power first
         for k in range(12, 0, -2):
-            b_poly = math.fsum(math.comb(k + 1, j) * b[j] * (-d) ** (k + 1 - j) for j in range(k + 2))
-            self._series.append(2.0 * b_poly / (k * (k + 1)))  # b_poly = B_{k+1}(-d)
+            b_poly = sum(math.comb(k + 1, j) * _BERNOULLI[j] * (-dl) ** (k + 1 - j) for j in range(k + 2))
+            self._series.append(float(2 * b_poly / (k * (k + 1))))  # b_poly = B_{k+1}(-d)
 
     def values(self, m: np.ndarray, offset: bool) -> np.ndarray:
         """omega(m), or offset(m) if ``offset``, for an array of integers m >= 0."""

@@ -2,7 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
+
+
+def ulp_error(got: float, want) -> float:
+    """|got - want| in units of the last place of want rounded to double."""
+    return float(abs(mpmath.mpf(got) - want) / math.ulp(float(want)))
 
 
 def f_alpha(alpha: float, x, y):

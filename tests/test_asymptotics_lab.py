@@ -226,6 +226,10 @@ class TestBrittleness:
             e = builtin_experiment(k)
             assert acvf(e.base, 0).gamma(0) == pytest.approx(1.0, rel=1e-12)
             assert acvf(e.noise, 0).gamma(0) == pytest.approx(1.0, rel=1e-12)
+            if k != 2:
+                # White-driver innovation variances come from the 1-ulp Gamma ratio.
+                assert abs(acvf(e.base, 0).gamma(0) - 1.0) <= math.ulp(1.0)
+                assert abs(acvf(e.noise, 0).gamma(0) - 1.0) <= math.ulp(1.0)
             assert e.weight == 0.1
             assert e.levels == (1, 10, 100)
             assert e.lags == tuple(range(1, 11))

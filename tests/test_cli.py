@@ -5,12 +5,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from helpers import farima00_offset_constants
 
+import lrdlab
 from lrdlab import cli, sampler
 from lrdlab.errors import ConvergenceError, CoverageError
 from lrdlab.kernel_special import Tolerance
@@ -523,3 +528,13 @@ class TestEmissionMatchesTheOldEmitter:
         out_path = tmp_path / "edge.json"
         cli._emit(argparse.Namespace(format="json", out=str(out_path)), (), None, json_obj=obj)
         assert out_path.read_text() == old_text("json", (), None, obj)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing the package and its CLI
+    # in a fresh interpreter must not load any scipy module.
+    src = str(Path(lrdlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = "import sys, lrdlab, lrdlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -7,14 +7,18 @@ closed form, and the lattice sum via Hurwitz zeta) and frozen here.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
 
+from helpers import ulp_error
 from lrdlab.errors import ConvergenceError, DomainError
 from lrdlab.kernel_special import (
     HurstParam,
     Tolerance,
+    _gamma_ratio,
+    _trigamma,
     c_of_H,
     fgn_lattice_sum,
     frac_diff_coeffs,
@@ -64,6 +68,31 @@ def test_c_of_h_matches_oracle():
         assert c_of_H(HurstParam(h)) == pytest.approx(want, rel=1e-14)
     # Closed form at the white-noise point.
     assert c_of_H(0.5) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+
+
+def test_gamma_ratios_within_1_ulp_of_mpmath():
+    # The ratios behind gamma(0), V and C(H), with arguments formed in
+    # extended precision as the library forms them.
+    with mpmath.workdps(40):
+        for d in np.linspace(-0.49, 0.49, 197):
+            dl, dm = np.longdouble(d), mpmath.mpf(float(d))
+            g0 = _gamma_ratio([1 - 2 * dl], [1 - dl, 1 - dl])
+            assert ulp_error(g0, mpmath.gamma(1 - 2 * dm) / mpmath.gamma(1 - dm) ** 2) <= 1.0, d
+            v = _gamma_ratio([1 - 2 * dl], [1 + dl, 1 - dl])
+            assert ulp_error(v, mpmath.gamma(1 - 2 * dm) / (mpmath.gamma(1 + dm) * mpmath.gamma(1 - dm))) <= 1.0, d
+        for h in np.linspace(0.005, 0.995, 199):
+            hm = mpmath.mpf(float(h))
+            assert ulp_error(_gamma_ratio([2.0 * h], []), mpmath.gamma(2 * hm)) <= 1.0, h
+            assert ulp_error(_gamma_ratio([], [2.0 * h]), 1 / mpmath.gamma(2 * hm)) <= 1.0, h
+            want = mpmath.gamma(2 * hm) * mpmath.sinpi(hm) * hm / mpmath.pi
+            assert ulp_error(c_of_H(float(h)), want) <= 1.0, h
+
+
+def test_trigamma_within_1_ulp_of_mpmath():
+    # 2049 = J + 1 for the G-sum tail; the others exercise the recurrence.
+    with mpmath.workdps(40):
+        for x in (2049, 2048.5, 20, 19.75, 3.7, 1, 0.5, 1e-3):
+            assert ulp_error(_trigamma(x), mpmath.psi(1, mpmath.mpf(x))) <= 1.0, x
 
 
 def test_c_of_h_positive_and_continuous():

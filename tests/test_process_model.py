@@ -8,10 +8,12 @@ densities back to their known variances with adaptive quadrature.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
+from helpers import ulp_error
 from lrdlab.errors import DomainError
 from lrdlab.kernel_special import HurstParam, Tolerance
 from lrdlab.process_model import (
@@ -210,7 +212,28 @@ def test_matched_fgn_shared_fixed_point():
     z1 = Sum(((x1, 1.0), (Fgn(HurstParam(0.5), 1.0), 0.1)))
     a, b = matched_fgn(x1), matched_fgn(z1)
     assert a.H == b.H
-    assert a.V == pytest.approx(b.V, rel=1e-14)
+    assert a.V == b.V
+
+
+def test_matched_v_within_1_ulp_of_exact():
+    # V = h(0) / (2 pi C(H)), C(H) = Gamma(2H) sin(pi H) H / pi, at the
+    # stored H and h(0).
+    drivers = (WhiteNoise(1.0), WhiteNoise(2.5), Arma((0.5,), (0.3,)), Fexp((0.4, -0.2)))
+    with mpmath.workdps(40):
+        for h in np.linspace(0.505, 0.995, 99):
+            hm = mpmath.mpf(float(h))
+            c = mpmath.gamma(2 * hm) * mpmath.sinpi(hm) * hm / mpmath.pi
+            for drv in drivers:
+                want = mpmath.mpf(driver_density(drv, 0.0)) / (2 * mpmath.pi * c)
+                assert ulp_error(matched_fgn(FracDiff(HurstParam(h), drv)).V, want) <= 1.0, (h, drv)
+
+
+def test_matched_v_keeps_fgn_component_v():
+    top = Fgn(HurstParam(0.8), 1.23)
+    z = Sum(((top, 1.0), (FracDiff(HurstParam(0.6), WhiteNoise(1.0)), 0.5)))
+    assert matched_fgn(z).V == 1.23
+    both = Sum(((top, 2.0), (FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 0.5)))
+    assert matched_fgn(both).V == 2.0 * 1.23 + 0.5 * matched_fgn(FracDiff(HurstParam(0.8), WhiteNoise(1.0))).V
 
 
 def test_dominating_hurst():

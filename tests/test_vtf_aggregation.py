@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import f_alpha
+from helpers import f_alpha, ulp_error
 from lrdlab import cli
 from lrdlab import vtf_aggregation
 from lrdlab.asymptotics_lab import builtin_experiment, closeness_report, run_brittleness
-from lrdlab.covariance_engine import acvf
+from lrdlab.covariance_engine import _farima00_values, acvf
 from lrdlab.errors import DomainError
 from lrdlab.kernel_special import HurstParam
 from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, Sum, WhiteNoise, matched_fgn
@@ -129,6 +129,24 @@ def _mp_farima00(d):
         assert abs(telescoped(n) - w) <= mp.mpf(10) ** -35 * w
 
     return V, D, lambda n: literal[n - 1] if n <= 40 else telescoped(n)
+
+
+def test_farima00_constants_and_series_within_1_ulp_of_mpmath():
+    # gamma(0), V, D and each large-m series coefficient 2 B_(k+1)(-d) /
+    # (k (k+1)), k = 12, 10, .., 2, of the FARIMA(0,d,0) closed form.
+    with mp.workdps(40):
+        for d in np.linspace(-0.49, 0.49, 197):
+            d = float(d)
+            unit, dm = vtf_aggregation._Farima00(d), mp.mpf(d)
+            gamma0 = mp.gamma(1 - 2 * dm) / mp.gamma(1 - dm) ** 2
+            assert ulp_error(unit._small[1], gamma0) <= 1.0, d
+            assert ulp_error(_farima00_values(d, 1.0, 0)[0], gamma0) <= 1.0, d
+            assert ulp_error(unit.V, gamma0 * mp.gamma(1 - dm) / ((1 + 2 * dm) * mp.gamma(1 + dm))) <= 1.0, d
+            if d != 0.0:
+                assert ulp_error(unit.D, dm * gamma0 / (1 + 2 * dm)) <= 1.0, d
+            for c, k in zip(unit._series, range(12, 0, -2)):
+                want = 2 * mp.bernpoly(k + 1, -dm) / (k * (k + 1))
+                assert ulp_error(c, want) <= 1.0, (d, k)
 
 
 @pytest.mark.parametrize("d", [-0.3, 0.0, 0.05, 0.3, 0.44, 0.49])
