@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from itertools import chain
 from pathlib import Path
@@ -52,12 +53,14 @@ def _load_spec(path: str):
     return spec_from_json(_read_json(path, "spec"))
 
 
+_SEED = re.compile(r"[0-9]+|0[xX][0-9a-fA-F]+")
+
+
 def _parse_seed(text: str) -> int:
-    try:
-        value = int(text, 0)
-    except ValueError as exc:
-        raise DomainError(f"seed must be a decimal or 0x-prefixed integer, got {text!r}") from exc
-    return value
+    # Decimal digits (leading zeros allowed) or 0x/0X hex, nothing else.
+    if not _SEED.fullmatch(text):
+        raise DomainError(f"seed must be a decimal or 0x-prefixed integer, got {text!r}")
+    return int(text, 16) if text[1:2] in ("x", "X") else int(text)
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:

@@ -180,9 +180,13 @@ def empirical_acvf(paths, lags) -> tuple[np.ndarray, np.ndarray]:
     per path; the standard error is the cross-path sample deviation of
     those estimates divided by sqrt(number of paths).
     """
-    arr = np.stack([p.values for p in paths])
-    if arr.ndim != 2 or arr.shape[0] < 2:
-        raise DomainError("need at least two paths")
+    values = [p.values for p in paths]
+    if len(values) < 2:
+        raise DomainError(f"need at least two paths, got {len(values)}")
+    shapes = sorted({v.shape for v in values})
+    if len(shapes) > 1 or len(shapes[0]) != 1:
+        raise DomainError(f"paths must be one-dimensional and of one length, got shapes {shapes}")
+    arr = np.stack(values)
     n = arr.shape[1]
     means = []
     errors = []

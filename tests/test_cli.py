@@ -339,6 +339,21 @@ class TestSampleCommand:
         _, hexed, _ = run(["sample", "--spec", spec, "--nmax", "16", "--seed", "0xDEADBEEF"], capsys)
         assert dec == hexed
 
+    def test_leading_zero_decimal_seed_matches_plain(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, FGN08)
+        rc, padded, _ = run(["sample", "--spec", spec, "--nmax", "16", "--seed", "007"], capsys)
+        _, plain, _ = run(["sample", "--spec", spec, "--nmax", "16", "--seed", "7"], capsys)
+        _, upper, _ = run(["sample", "--spec", spec, "--nmax", "16", "--seed", "0X7"], capsys)
+        assert rc == 0 and padded == plain == upper
+
+    @pytest.mark.parametrize("seed", ["0b11", "0o7", "1_000", " 7", "-1", "0x", ""])
+    def test_undocumented_seed_forms_exit_two(self, tmp_path, capsys, seed):
+        rc, _, err = run(
+            ["sample", "--spec", write_spec(tmp_path, WHITE), "--nmax", "8", "--seed", seed], capsys
+        )
+        assert rc == 2
+        assert "decimal or 0x-prefixed" in err
+
     def test_multiple_paths_are_labelled(self, tmp_path, capsys):
         spec = write_spec(tmp_path, WHITE)
         rc, out, _ = run(

@@ -175,8 +175,23 @@ def test_frac_diff_coeffs_negative_length():
 def test_lattice_sum_matches_hurwitz_oracle():
     for (x, h), want in LATTICE_ORACLE.items():
         got = fgn_lattice_sum(x, h, Tolerance(abs_tol=1e-14))
-        assert got == pytest.approx(want, rel=1e-12)
-        assert fgn_lattice_sum(-x, h) == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=2e-14)
+        assert fgn_lattice_sum(-x, h) == pytest.approx(want, rel=2e-14)
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(abs_tol=1e-14)])
+def test_lattice_sum_within_2e14_of_mpmath_hurwitz_zeta(tol):
+    # (2 pi)^(-s) (zeta(s, |x|) + zeta(s, 1 - |x|)) at 40 digits, over the
+    # whole Hurst range and x from the singularity out to the edge.
+    xs = np.concatenate((np.geomspace(1e-6, 0.5, 25), [-0.5, -0.01]))
+    with mpmath.workdps(40):
+        for h in (0.02, 0.1, 0.3, 0.5, 0.55, 0.75, 0.9, 1.0):
+            s = mpmath.mpf(2.0 * h + 1.0)
+            got = fgn_lattice_sum(xs, h, tol)
+            for x, g in zip(xs, got):
+                a = mpmath.mpf(abs(float(x)))
+                want = (2 * mpmath.pi) ** (-s) * (mpmath.zeta(s, a) + mpmath.zeta(s, 1 - a))
+                assert abs(g - want) <= 2e-14 * want, (h, x)
 
 
 def test_lattice_sum_against_scipy_hurwitz_zeta():

@@ -134,6 +134,24 @@ def test_spectrum_even_positive_random_points():
         assert np.allclose(fp, fm, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("h", [0.55, 0.8, 0.95])
+def test_fgn_spectrum_within_2e14_of_mpmath(h):
+    # The fGn density in cycles, f(x) = V sin(pi H) Gamma(2H+1) 4 sin^2(pi x)
+    # sum_j |2 pi (j + x)|^(-2H-1) (Sinai 1976), with the lattice sum as two
+    # Hurwitz zetas, at 40 digits on the CLI's default grid.
+    v = 2.5
+    xs = np.geomspace(1e-4, 0.5, 200)
+    got = spectrum(Fgn(HurstParam(h), v), xs)
+    with mpmath.workdps(40):
+        hm = mpmath.mpf(h)
+        s = 2 * hm + 1
+        c = v * mpmath.sin(mpmath.pi * hm) * mpmath.gamma(s) * 4 * (2 * mpmath.pi) ** (-s)
+        for x, g in zip(xs, got):
+            xm = mpmath.mpf(float(x))
+            want = c * mpmath.sin(mpmath.pi * xm) ** 2 * (mpmath.zeta(s, xm) + mpmath.zeta(s, 1 - xm))
+            assert abs(g - want) <= 2e-14 * want, x
+
+
 def test_spectrum_domain_errors():
     lrd = Fgn(HurstParam(0.8), 1.0)
     with pytest.raises(DomainError):

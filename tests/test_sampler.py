@@ -173,6 +173,13 @@ class TestEmpiricalAcvf:
     def test_needs_two_paths(self):
         with pytest.raises(DomainError):
             empirical_acvf([sample(WHITE, 16, 1)], [0])
+        with pytest.raises(DomainError, match="at least two paths, got 0"):
+            empirical_acvf([], [0])
+
+    def test_rejects_ragged_paths(self):
+        paths = [sample(WHITE, 16, 1), sample(WHITE, 17, 2)]
+        with pytest.raises(DomainError, match=r"one length, got shapes \[\(16,\), \(17,\)\]"):
+            empirical_acvf(paths, [0])
 
     def test_rejects_lag_outside_path(self):
         paths = sample_many(WHITE, 16, 1, 2)
