@@ -5,9 +5,11 @@ spec has density h(x) |2 sin(pi x)|^(-2d), a product, so its
 autocovariance is the driver's autocovariance (read off an FFT grid)
 convolved with the closed-form FARIMA(0,d,0) one.  Sums add their
 components.  Two independent cross-checks stay available by name:
-:func:`acvf_via_subtraction` integrates the density minus its matched fGn
-by oscillatory quadrature, and :func:`acvf_via_convolution` convolves the
-fGn autocovariance with the Fourier coefficients G_j of g = f / f*.
+:func:`acvf_via_subtraction` adds the Fourier coefficients of the density
+minus its matched fGn, and :func:`acvf_via_convolution` convolves the fGn
+autocovariance with the Fourier coefficients G_j of g = f / f*.  One
+periodic FFT-grid loop yields every Fourier coefficient here: driver
+autocovariances, G_j and the density gap's.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._filon import filon_cos_integrals
 from .errors import ConvergenceError, CoverageError, DomainError
 from .kernel_special import HurstParam, Tolerance, _as_hurst, _as_int, _gamma_ratio
 from .process_model import (
@@ -126,7 +127,7 @@ def farima00_acvf(d: float, sigma2: float, n: int) -> float:
 
 
 def _inner_tol(tol: Tolerance) -> Tolerance:
-    # Spectrum evaluations inside a quadrature or FFT grid get a tighter
+    # Spectrum evaluations inside an FFT grid get a tighter
     # absolute target than the result they feed, and the caller's budget.
     return dataclasses.replace(tol, abs_tol=min(tol.abs_tol, 1e-13))
 
@@ -136,8 +137,9 @@ class GCoeffs:
     """Fourier coefficients of the density ratio g = f / f*.
 
     ``values`` holds G_0..G_{j_max}; the sequence is even (G_-j = G_j) and
-    ``tail_bound`` dominates the sum of |G_j| beyond j_max, derived from
-    the observed j^-3 decay envelope.
+    ``tail_bound`` dominates the sum of |G_j| over |j| > j_max, derived from
+    the observed j^-3 decay envelope over j >= max(100, j_max // 2).  It is
+    ``math.inf`` for j_max < 100, where no envelope is measured.
     """
 
     H: HurstParam
@@ -160,29 +162,43 @@ class GCoeffs:
         return float(self.values[0] + 2.0 * math.fsum(self.values[1:]))
 
 
-def _periodic_coeffs(half_samples, lo: int, hi: int, min_log2: int, tol: Tolerance, cap_message: str):
-    """Fourier coefficients lo..hi of an even, smooth, 1-periodic density.
+def _periodic_coeffs(
+    half_samples, lo: int, hi: int, min_log2: int, tol: Tolerance, what: str,
+    cusp_orders: tuple[float, ...] = (),
+):
+    """Fourier coefficients lo..hi of an even, 1-periodic density.
 
     ``half_samples(N)`` returns the density at k/N for k = 0..N/2; the grid
-    is mirrored, read off an FFT (trapezoid quadrature is exact for periodic
-    functions up to aliasing) and doubled until the requested coefficients
-    move by at most tol.abs_tol.  Grid points count against tol.max_terms.
+    is mirrored, read off an FFT (trapezoid quadrature is exact for smooth
+    periodic functions up to aliasing) and doubled until the requested
+    coefficients move by at most tol.abs_tol.  A cusp |x|^(p-1) at x = 0
+    leaves an aliasing error c N^(-p) (the generalised Euler-Maclaurin
+    expansion); each order p in ``cusp_orders`` is removed by one Richardson
+    step over successive grids, and the stopping test applies to the last
+    column.  Grid points count against tol.max_terms.
     """
+    orders = sorted(set(cusp_orders))
     n_grid = 1 << max(min_log2, int(math.ceil(math.log2(8 * (hi + 1)))))
-    prev = None
+    prev: list[np.ndarray] = []  # the previous grid's row of the Richardson table
+    residual = "no grid was evaluated"
     while True:
         if n_grid > _GRID_CAP:
-            raise ConvergenceError(cap_message)
+            raise ConvergenceError(f"{what} grid exceeded {_GRID_CAP} points: {residual}")
         if n_grid > tol.max_terms:
-            raise ConvergenceError(
-                f"periodic coefficients not stable within {tol.max_terms} grid points"
-            )
+            raise ConvergenceError(f"{what} not stable within {tol.max_terms} grid points: {residual}")
         half = half_samples(n_grid)
         coeff = np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real / n_grid
-        block = coeff[lo : hi + 1]
-        if prev is not None and float(np.max(np.abs(block - prev))) <= tol.abs_tol:
-            return block
-        prev = block
+        row = [coeff[lo : hi + 1]]
+        for k, p in enumerate(orders[: len(prev)]):
+            row.append(row[k] + (row[k] - prev[k]) / (2.0**p - 1.0))
+        residual = f"only the {n_grid}-point grid was evaluated"
+        if prev:
+            k = len(prev) - 1
+            change = float(np.max(np.abs(row[k] - prev[k])))
+            if k == len(orders) and change <= tol.abs_tol:
+                return row[k]
+            residual = f"the {n_grid}-point grid moved coefficients by {change:.3g} against abs_tol {tol.abs_tol:g}"
+        prev = row
         n_grid *= 2
 
 
@@ -198,7 +214,8 @@ def g_fourier_coeffs(
     (trapezoid quadrature is exact for periodic functions up to aliasing),
     doubling the grid until every coefficient with |j| <= J_max is stable
     to tol.abs_tol.  The tail bound comes from the measured j^3 |G_j|
-    envelope over the upper half of the cached range.
+    envelope over the upper half of the cached range, from j = 100 on
+    (``math.inf`` below J_max = 100).
     """
     h = _as_hurst(H)
     if not h.is_lrd or h.H >= 1.0:
@@ -213,13 +230,12 @@ def g_fourier_coeffs(
         x = np.arange(1, n_grid // 2 + 1, dtype=np.float64) / n_grid
         return np.concatenate(([1.0], spectrum(spec, x, inner) / spectrum(star, x, inner)))
 
-    coeff = _periodic_coeffs(
-        ratio, 0, J_max, 16, tol,
-        f"coefficient grid exceeded {_GRID_CAP} points without stabilising",
-    )
+    coeff = _periodic_coeffs(ratio, 0, J_max, 16, tol, "G coefficient")
 
+    # The envelope is measured from j = 100 on; below that |G_j| j^3 has not
+    # settled, so a shorter range has no measured envelope and no bound.
     j = np.arange(max(100, J_max // 2), J_max + 1)
-    env3 = float(np.max(j.astype(np.float64) ** 3 * np.abs(coeff[j]))) if j.size else 0.0
+    env3 = float(np.max(j.astype(np.float64) ** 3 * np.abs(coeff[j]))) if j.size else math.inf
     tail_bound = env3 / (J_max * J_max)
     return GCoeffs(H=h, driver=driver, values=coeff, tail_bound=tail_bound)
 
@@ -271,7 +287,7 @@ def _driver_acvf(driver: ShortMemorySpec, tol: Tolerance) -> np.ndarray:
 
     hi = 64
     while True:
-        gh = _periodic_coeffs(density, 0, hi, 12, tol, f"driver autocovariance grid exceeded {_GRID_CAP} points")
+        gh = _periodic_coeffs(density, 0, hi, 12, tol, "driver autocovariance")
         dropped = 2.0 * np.cumsum(np.abs(gh[:0:-1]))[::-1]  # dropped[k] = 2 sum_{j>k} |gamma_h(j)|
         floor = (2 * np.arange(hi) + 1) * np.finfo(np.float64).eps * (abs(gh[0]) + dropped[0])
         if dropped[hi // 2] <= floor[hi // 2]:  # dropped falls and floor grows with k
@@ -308,30 +324,55 @@ def acvf(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTab
 
     Fgn uses its closed form; FracDiff convolves its driver's
     autocovariance with the FARIMA(0,d,0) closed form, on the whole
-    stationary band 0 < H < 1; sums add their components.  The quadrature
+    stationary band 0 < H < 1; sums add their components.  The density-gap
     and G-coefficient routes are cross-checks, available separately as
     :func:`acvf_via_subtraction` and :func:`acvf_via_convolution`.
     """
     return AcvfTable(spec, *_route_values(spec, _as_int(n_max, "n_max"), tol))
 
 
+def _gap_at_zero(spec: ProcessSpec, hd: float, inner: Tolerance) -> tuple[float, tuple[float, ...]]:
+    """(phi(0), cusp orders) of phi = f - f* for a spec dominated at Hurst hd.
+
+    A dominating part cancels against f* to |x|^(3 - 2H) at x = 0; any other
+    part keeps its density at 0 (the spectrum raises DomainError for a weaker
+    long-memory part, where phi is unbounded), and one with H' < 1/2 adds a
+    |x|^(1 - 2H') cusp.  A cusp |x|^(p - 1) has aliasing order p.
+    """
+    if isinstance(spec, Sum):
+        value, orders = 0.0, ()
+        for comp, weight in spec.components:
+            v, o = _gap_at_zero(comp, hd, inner)
+            value += weight * v
+            orders += o
+        return value, orders
+    h = spec.H.H
+    if h == hd:
+        return 0.0, (4.0 - 2.0 * h,)
+    return spectrum(spec, 0.0, inner), (2.0 - 2.0 * h,) if h < 0.5 else ()
+
+
 def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTable:
     """Autocovariance of a long-range dependent spec by spectral subtraction.
 
-    gamma(n) = gamma*(n) + 2 integral over (0, 1/2] of (f - f*)(x)
-    cos(2 pi n x) dx, with f* the matched fGn density: the difference is
-    bounded, so Filon quadrature integrates it.  Exists as an independent
-    cross-check of :func:`acvf`; its cost grows with the square of n_max.
+    gamma(n) = gamma*(n) + the Fourier coefficients of phi = f - f*, with f*
+    the matched fGn density.  phi is bounded, with cusps at x = 0, so its
+    coefficients are read off the same FFT grid as every other periodic
+    density, one Richardson step per cusp order.  Exists as an independent
+    cross-check of :func:`acvf`; a weaker long-memory component makes phi
+    unbounded and raises :class:`DomainError`.
     """
     n_max = _as_int(n_max, "n_max")
     star = matched_fgn(spec)
     inner = _inner_tol(tol)
+    phi0, orders = _gap_at_zero(spec, star.H.H, inner)
 
-    def phi(x: np.ndarray) -> np.ndarray:
-        return spectrum(spec, x, inner) - spectrum(star, x, inner)
+    def phi(n_grid: int) -> np.ndarray:
+        x = np.arange(1, n_grid // 2 + 1, dtype=np.float64) / n_grid
+        return np.concatenate(([phi0], spectrum(spec, x, inner) - spectrum(star, x, inner)))
 
-    lags = np.arange(n_max + 1)
-    values = _fgn_block(star.H.H, star.V, lags) + 2.0 * filon_cos_integrals(phi, lags, tol)
+    gap = _periodic_coeffs(phi, 0, n_max, 12, tol, "density gap", orders)
+    values = _fgn_block(star.H.H, star.V, np.arange(n_max + 1)) + gap
     return AcvfTable(spec, Route.SPECTRAL_SUBTRACTION, values)
 
 

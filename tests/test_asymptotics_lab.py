@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from helpers import farima00_offset_constants
 
-from lrdlab._filon import filon_cos_integrals
 from lrdlab.asymptotics_lab import (
     BrittlenessExperiment,
     ClosenessReport,
@@ -29,10 +28,10 @@ from lrdlab.asymptotics_lab import (
     vtf_offset,
 )
 from lrdlab import asymptotics_lab, vtf_aggregation
-from lrdlab.covariance_engine import acvf
+from lrdlab.covariance_engine import acvf, acvf_via_subtraction
 from lrdlab.errors import CoverageError, DomainError
 from lrdlab.kernel_special import HurstParam
-from lrdlab.process_model import Fgn, FracDiff, Sum, WhiteNoise, matched_fgn, spec_from_json, spectrum
+from lrdlab.process_model import Fgn, FracDiff, Sum, WhiteNoise, matched_fgn, spec_from_json
 from lrdlab.vtf_aggregation import VtfView
 
 FARIMA03 = FracDiff(HurstParam(0.8), WhiteNoise(1.0))
@@ -208,15 +207,12 @@ class TestAcvfGapProfile:
             acvf_gap_profile(FARIMA03, [1, 20_000])
 
     def test_gaps_are_fourier_coefficients_of_the_density_gap(self):
-        # d_n from the closed-form tables must equal the cosine transform
-        # of phi; the two sides share no code (recursion vs quadrature).
+        # d_n from the closed-form tables must equal the Fourier coefficients
+        # of phi = f - f*; the two sides share only the fGn closed form, which
+        # cancels (recursion vs quadrature of the density gap).
         star = matched_fgn(FARIMA03)
         p = acvf_gap_profile(FARIMA03, range(0, 51))
-
-        def phi(x):
-            return spectrum(FARIMA03, x) - spectrum(star, x)
-
-        via_transform = 2.0 * filon_cos_integrals(phi, np.arange(51, dtype=float))
+        via_transform = acvf_via_subtraction(FARIMA03, 50).values - acvf(star, 50).values
         assert np.max(np.abs(np.array(p.d) - via_transform)) <= 1e-6
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lrdlab._filon import filon_cos_integrals
+from lrdlab.asymptotics_lab import builtin_experiment
 from lrdlab.errors import ConvergenceError, CoverageError, DomainError
 from lrdlab.kernel_special import HurstParam, Tolerance
 from lrdlab import covariance_engine
@@ -181,6 +181,19 @@ def test_g_coeffs_sum_and_tail():
     assert float(env.max() / env.min()) <= 10.0
 
 
+def test_g_coeffs_tail_bound_needs_a_measured_envelope():
+    # The j^3 |G_j| envelope is measured from j = 100 on: a shorter range
+    # states no bound, a longer one dominates the two-sided tail beyond J
+    # (measured here from a J = 10000 run).
+    for drv in (WhiteNoise(1.0), Arma((0.9,), ())):
+        for J in (8, 64, 99):
+            assert g_fourier_coeffs(0.8, drv, J_max=J).tail_bound == math.inf
+        ref = g_fourier_coeffs(0.8, drv, J_max=10_000).values
+        for J in (100, 2048):
+            tail = 2.0 * math.fsum(np.abs(ref[J + 1 :]))
+            assert g_fourier_coeffs(0.8, drv, J_max=J).tail_bound >= tail, f"{drv}, J = {J}"
+
+
 def test_g_coeffs_degenerate_near_half():
     gc = g_fourier_coeffs(0.5 + 1e-6, WhiteNoise(1.0), J_max=64)
     assert gc.G(0) == pytest.approx(1.0, abs=1e-4)
@@ -219,13 +232,16 @@ def test_route_selection():
 
 
 def test_acvf_never_integrates(monkeypatch):
+    # The driver route reads the driver density only; the subtraction route
+    # samples the spectrum of the spec and its matched fGn.
     calls = []
+    evaluate = covariance_engine.spectrum
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return filon_cos_integrals(*args, **kwargs)
+        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(covariance_engine, "filon_cos_integrals", counted)
+    monkeypatch.setattr(covariance_engine, "spectrum", counted)
     spec = FracDiff(HurstParam(0.8), FARIMA11_DRIVER)
     acvf(spec, 128)
     assert calls == []
@@ -234,19 +250,26 @@ def test_acvf_never_integrates(monkeypatch):
 
 
 def test_periodic_coefficient_grids_count_against_max_terms():
-    # Every FFT-grid route counts grid points against the work budget.
+    # Every FFT-grid route counts grid points against the work budget, and
+    # the error names the residual it reached.
     budget = Tolerance(max_terms=1)
-    with pytest.raises(ConvergenceError, match="grid points"):
+    with pytest.raises(ConvergenceError, match="grid points: no grid was evaluated"):
         acvf(FracDiff(HurstParam(0.5), Arma((0.95,), ())), 5000, budget)
-    with pytest.raises(ConvergenceError, match="grid points"):
+    with pytest.raises(ConvergenceError, match="grid points: no grid was evaluated"):
         acvf(FracDiff(HurstParam(0.8), Arma((0.3,), (0.7,))), 10, budget)
-    with pytest.raises(ConvergenceError, match="grid points"):
+    with pytest.raises(ConvergenceError, match="grid points: no grid was evaluated"):
         g_fourier_coeffs(0.8, Arma((0.3,), (0.7,)), 64, budget)
+    spec = FracDiff(HurstParam(0.8), WhiteNoise(1.0))
+    with pytest.raises(ConvergenceError, match="grid points: only the 4096-point grid was evaluated"):
+        acvf_via_subtraction(spec, 10, Tolerance(max_terms=4096))
+    residual = r"grid points: the 65536-point grid moved coefficients by \S+ against abs_tol 1e-30"
+    with pytest.raises(ConvergenceError, match=residual):
+        acvf_via_subtraction(spec, 10, Tolerance(abs_tol=1e-30, max_terms=1 << 16))
 
 
-def _density_acvf(spec, n, dps=25):
+def _density_acvf(spec, n, dps=25, breakpoints=()):
     # gamma(n) = 2 * integral over (0, 1/2] of f(x) cos(2 pi n x) dx, split
-    # every half period of the cosine.
+    # every half period of the cosine and at the extra breakpoints.
     phi, = spec.driver.ar
     d = mpmath.mpf(spec.H.H) - mpmath.mpf(0.5)
     with mpmath.workdps(dps):
@@ -255,6 +278,7 @@ def _density_acvf(spec, n, dps=25):
             return h * abs(2 * mpmath.sinpi(x)) ** (-2 * d) * mpmath.cospi(2 * n * x)
 
         nodes = [mpmath.mpf(k) / (2 * n) for k in range(n + 1)] if n else [0, mpmath.mpf(0.5)]
+        nodes = sorted(set(nodes) | set(breakpoints))
         return float(2 * mpmath.quad(f, nodes))
 
 
@@ -287,25 +311,65 @@ def test_near_unit_root_driver_against_exact_sum():
 
 
 def test_driver_grid_cap_is_named():
-    with pytest.raises(ConvergenceError, match=f"exceeded {_GRID_CAP} points"):
+    residual = (
+        rf"exceeded {_GRID_CAP} points: the {_GRID_CAP}-point grid moved "
+        r"coefficients by \S+ against abs_tol 1e-12"
+    )
+    with pytest.raises(ConvergenceError, match=residual):
         acvf(FracDiff(HurstParam(0.8), Arma((0.999,), ())), 10)
 
 
 def test_subtraction_route_against_closed_form():
     # Fexp with no coefficients is the unit white driver; the closed form
     # is the oracle of the quadrature.
-    table = acvf_via_subtraction(FracDiff(HurstParam(0.8), Fexp(())), 200)
-    assert table.route is Route.SPECTRAL_SUBTRACTION
-    ref = np.array([farima00_acvf(0.3, 1.0, n) for n in range(201)])
-    assert float(np.max(np.abs(table.values - ref))) <= 1e-8
+    for H in (0.55, 0.8, 0.95):
+        table = acvf_via_subtraction(FracDiff(HurstParam(H), Fexp(())), 1024)
+        assert table.route is Route.SPECTRAL_SUBTRACTION
+        ref = acvf(FracDiff(HurstParam(H), WhiteNoise(1.0)), 1024).values  # the FARIMA(0,d,0) closed form
+        assert float(np.max(np.abs(table.values - ref))) <= 1e-12, f"H = {H}"
+
+
+def test_subtraction_route_against_mpmath_quadrature():
+    # AR(0.9) puts a sharp driver peak on top of the x^(-0.6) pole; the
+    # plain trapezoid rule on the density gap does not settle below the grid
+    # cap, the Richardson step for its |x|^2.4 cusp does.
+    spec = FracDiff(HurstParam(0.8), Arma((0.9,), ()))
+    table = acvf_via_subtraction(spec, 10)
+    breakpoints = [mpmath.mpf(10) ** -k for k in range(1, 16)]
+    for n in (0, 1, 10):
+        assert abs(table.gamma(n) - _density_acvf(spec, n, dps=30, breakpoints=breakpoints)) <= 1e-12, f"lag {n}"
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [Fgn(HurstParam(0.5), 1.0), FracDiff(HurstParam(0.4), WhiteNoise(1.0)), Fgn(HurstParam(0.3), 1.0)],
+    ids=["white", "fd04", "fgn03"],
+)
+def test_subtraction_route_with_weaker_components(noise):
+    # A short-memory component keeps its density at x = 0 in the gap; an
+    # antipersistent one adds its own cusp there.
+    weight = 0.1 if noise.H.H == 0.5 else 0.2
+    spec = Sum(((FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 1.0), (noise, weight)))
+    sub = acvf_via_subtraction(spec, 200)
+    assert float(np.max(np.abs(sub.values - acvf(spec, 200).values))) <= 1e-12
+
+
+def test_subtraction_route_rejects_an_unbounded_gap():
+    # A weaker long-memory component leaves phi = f - f* unbounded at 0.
+    with pytest.raises(DomainError):
+        acvf_via_subtraction(builtin_experiment(3).perturbed(), 10)
 
 
 def test_convolution_route_against_subtraction():
     # Two independent routes for the same spec are each other's oracle.
-    drivers = [FARIMA11_DRIVER, Arma(ar=(0.5,), ma=(-0.2,), innovation_variance=1.3)]
-    for drv in drivers:
-        sub = acvf_via_subtraction(FracDiff(HurstParam(0.8), drv), 50)
-        conv = acvf_via_convolution(0.8, drv, 50)
+    cases = [
+        (FARIMA11_DRIVER, 50, 10_000),
+        (Arma(ar=(0.5,), ma=(-0.2,), innovation_variance=1.3), 50, 10_000),
+        (FARIMA11_DRIVER, 30, 2000),
+    ]
+    for drv, n_max, J_max in cases:
+        sub = acvf_via_subtraction(FracDiff(HurstParam(0.8), drv), n_max)
+        conv = acvf_via_convolution(0.8, drv, n_max, J_max=J_max)
         assert conv.route is Route.CONVOLUTION
         assert float(np.max(np.abs(sub.values - conv.values))) <= 1e-6
 
@@ -446,10 +510,3 @@ def test_convolution_matches_term_by_term_sum():
         terms = [gc.G(j) * fgn_acvf(star.H, star.V, abs(n - j)) for j in range(-64, 65)]
         bound = len(terms) * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
         assert abs(conv.gamma(n) - math.fsum(terms)) <= bound
-
-
-def test_convolution_table_extend():
-    gc = g_fourier_coeffs(0.8, FARIMA11_DRIVER, J_max=2000)
-    conv = acvf_via_convolution(0.8, FARIMA11_DRIVER, 30, coeffs=gc)
-    sub = acvf_via_subtraction(FracDiff(HurstParam(0.8), FARIMA11_DRIVER), 30)
-    assert float(np.max(np.abs(conv.values - sub.values))) <= 1e-6
