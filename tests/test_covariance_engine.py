@@ -365,13 +365,20 @@ def test_convolution_route_against_subtraction():
     cases = [
         (FARIMA11_DRIVER, 50, 10_000),
         (Arma(ar=(0.5,), ma=(-0.2,), innovation_variance=1.3), 50, 10_000),
-        (FARIMA11_DRIVER, 30, 2000),
     ]
     for drv, n_max, J_max in cases:
         sub = acvf_via_subtraction(FracDiff(HurstParam(0.8), drv), n_max)
         conv = acvf_via_convolution(0.8, drv, n_max, J_max=J_max)
         assert conv.route is Route.CONVOLUTION
         assert float(np.max(np.abs(sub.values - conv.values))) <= 1e-6
+
+
+def test_convolution_table_extend():
+    # A shorter G table passed in by the caller still meets the subtraction route.
+    gc = g_fourier_coeffs(0.8, FARIMA11_DRIVER, J_max=2000)
+    conv = acvf_via_convolution(0.8, FARIMA11_DRIVER, 30, coeffs=gc)
+    sub = acvf_via_subtraction(FracDiff(HurstParam(0.8), FARIMA11_DRIVER), 30)
+    assert float(np.max(np.abs(conv.values - sub.values))) <= 1e-6
 
 
 def test_white_driver_closed_form_dispatch():
