@@ -17,11 +17,13 @@ import dataclasses
 import json
 import re
 import sys
+from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from . import _textfmt
 from .asymptotics_lab import (
     BrittlenessExperiment,
     brittleness_csv_rows,
@@ -99,65 +101,59 @@ def _csv_field(text: str) -> str:
     return text
 
 
-# Values per bulk %-format call; bounds the memory one call holds.
+# Values per formatting call; bounds the memory one call holds.
 _CHUNK = 1 << 16
 
 
-def _bulk(template: str, count: int, width: int, values):
-    """Yield template % item for count items, one %-format call per chunk.
-
-    ``values(start, stop)`` returns the width values of items start..stop-1
-    as one flat tuple.
-    """
-    step = max(1, _CHUNK // max(1, width))
-    for start in range(0, count, step):
-        stop = min(count, start + step)
-        yield (template * (stop - start)) % values(start, stop)
+def _cells(part):
+    """CSV text of a slice of a column: ints as %d, floats as %.17g, any other
+    cell through _fmt with csv.writer's quoting."""
+    kind = part.dtype.kind if isinstance(part, np.ndarray) else ""
+    if kind in ("i", "u"):
+        return _textfmt.decimal(part)
+    if kind == "f":
+        return _textfmt.g17(part)
+    return _textfmt.text([_csv_field(_fmt(v)) for v in part])
 
 
 def _csv_chunks(header, columns):
-    """CSV text: ints as %d, floats as %.17g, other cells through _fmt.
-
-    Numeric numpy columns are formatted in bulk; any other column is a
-    sequence of cells formatted one by one, as csv.writer would quote them.
-    """
+    """CSV text of the columns, formatted a chunk of rows at a time."""
     yield ",".join(_csv_field(h) for h in header) + "\n"
-    fields, cols = [], []
-    for col in columns:
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else ""
-        if kind in ("i", "u"):
-            fields.append("%d")
-        elif kind == "f":
-            fields.append("%.17g")
-        else:
-            fields.append("%s")
-            col = np.array([_csv_field(_fmt(v)) for v in col], dtype=object)
-        cols.append(col)
-    rows = len(cols[0]) if cols else 0
-
-    def values(start, stop):
-        return tuple(chain.from_iterable(zip(*(c[start:stop].tolist() for c in cols))))
-
-    yield from _bulk(",".join(fields) + "\n", rows, len(cols), values)
+    rows = len(columns[0]) if columns else 0
+    step = max(1, _CHUNK // max(1, len(columns)))
+    for start in range(0, rows, step):
+        parts = []
+        for col in columns:
+            parts += [_cells(col[start : start + step]), b","]
+        parts[-1] = b"\n"
+        yield _textfmt.join(parts)
 
 
 def _json_array(arr: np.ndarray, level: int):
-    # A finite 1-D or 2-D numeric array formatted in bulk: "%r" gives the
-    # shortest repr that json writes; anything else goes item by item.
+    # A finite 1-D or 2-D numeric array, formatted a chunk at a time: floats
+    # as their repr (the shortest text json writes), ints as %d; anything
+    # else goes item by item.
     if not (arr.ndim in (1, 2) and arr.size and arr.dtype.kind in "fiu" and np.isfinite(arr).all()):
         yield from _json_chunks(arr.tolist(), level)
         return
     pad1, pad2 = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     if arr.ndim == 1:
-        template, width = "," + pad1 + "%r", 1
+        width, seps = 1, [("," + pad1).encode()] * 2
+        opening, closing = "[" + pad1, "\n" + "  " * level + "]"
     else:
         width = arr.shape[1]
-        template = "," + pad1 + "[" + pad2 + ("%r," + pad2) * (width - 1) + "%r" + pad1 + "]"
+        seps = [("," + pad2).encode(), (pad1 + "]," + pad1 + "[" + pad2).encode()]
+        opening, closing = "[" + pad1 + "[" + pad2, pad1 + "]\n" + "  " * level + "]"
+    convert = _textfmt.shortest if arr.dtype.kind == "f" else _textfmt.decimal
     flat = arr.ravel()
-    chunks = _bulk(template, arr.shape[0], width, lambda a, b: tuple(flat[a * width : b * width].tolist()))
-    yield "[" + next(chunks)[1:]  # no separator before the first item
-    yield from chunks
-    yield "\n" + "  " * level + "]"
+    yield opening
+    for start in range(0, flat.size, _CHUNK):
+        stop = min(flat.size, start + _CHUNK)
+        which = (np.arange(start, stop) % width == width - 1).astype(np.intp)
+        if stop == flat.size:
+            which[-1] = 2  # nothing after the last item
+        yield _textfmt.join([convert(flat[start:stop]), _textfmt.choose(seps + [b""], which)])
+    yield closing
 
 
 def _json_chunks(obj, level: int = 0):
@@ -344,12 +340,46 @@ def cmd_sample(args) -> None:
         }
         _emit(args, (), None, json_obj=json_obj)
     else:
-        columns = (
-            np.repeat(np.arange(count), n),
-            np.tile(np.arange(n), count),
-            np.concatenate([p.values for p in paths]),
+        _emit(args, ("path", "t", "value"), _path_major_columns([p.values for p in paths]))
+
+
+class _LazyColumn(Sequence):
+    """A numeric column of ``length`` rows; ``rows(start, stop)`` gives the
+    array of rows start..stop-1, so a slice costs only its own size."""
+
+    def __init__(self, length: int, rows):
+        self._length, self._rows = length, rows
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            rows = range(self._length)[index]
+            if rows.step == 1 and rows:
+                return self._rows(rows.start, rows.stop)
+            return np.array([self[i] for i in rows])
+        i = range(self._length)[index]
+        return self._rows(i, i + 1)[0]
+
+
+def _path_major_columns(values):
+    """path, t and value columns of equal-length paths, one row per value,
+    without building any whole-batch array."""
+    n = len(values[0])
+
+    def value_rows(start, stop):
+        first = start // n
+        return np.concatenate(
+            [v[max(start - i * n, 0) : stop - i * n] for i, v in enumerate(values[first : -(-stop // n)], first)]
         )
-        _emit(args, ("path", "t", "value"), columns)
+
+    total = n * len(values)
+    return (
+        _LazyColumn(total, lambda start, stop: np.arange(start, stop) // n),
+        _LazyColumn(total, lambda start, stop: np.arange(start, stop) % n),
+        _LazyColumn(total, value_rows),
+    )
 
 
 def _add_common(sub, *, spec_required=True, nmax_default=None, format_default="csv"):

@@ -331,24 +331,30 @@ def acvf(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTab
     return AcvfTable(spec, *_route_values(spec, _as_int(n_max, "n_max"), tol))
 
 
-def _gap_at_zero(spec: ProcessSpec, hd: float, inner: Tolerance) -> tuple[float, tuple[float, ...]]:
+def _gap_at_zero(spec: ProcessSpec, hd: float, inner: Tolerance, where: str = "") -> tuple[float, tuple[float, ...]]:
     """(phi(0), cusp orders) of phi = f - f* for a spec dominated at Hurst hd.
 
     A dominating part cancels against f* to |x|^(3 - 2H) at x = 0; any other
-    part keeps its density at 0 (the spectrum raises DomainError for a weaker
-    long-memory part, where phi is unbounded), and one with H' < 1/2 adds a
-    |x|^(1 - 2H') cusp.  A cusp |x|^(p - 1) has aliasing order p.
+    part keeps its density at 0, and one with H' < 1/2 adds a |x|^(1 - 2H')
+    cusp.  A cusp |x|^(p - 1) has aliasing order p.  A weaker long-memory
+    part leaves phi unbounded at 0 and raises DomainError naming it; ``where``
+    is its index in the Sum (dotted for nested Sums).
     """
     if isinstance(spec, Sum):
         value, orders = 0.0, ()
-        for comp, weight in spec.components:
-            v, o = _gap_at_zero(comp, hd, inner)
+        for i, (comp, weight) in enumerate(spec.components):
+            v, o = _gap_at_zero(comp, hd, inner, f"{where}.{i}" if where else str(i))
             value += weight * v
             orders += o
         return value, orders
     h = spec.H.H
     if h == hd:
         return 0.0, (4.0 - 2.0 * h,)
+    if h > 0.5:
+        raise DomainError(
+            f"component {where} has weaker long memory (H = {h}) than the dominating H = {hd}: "
+            "the density gap f - f* is unbounded at x = 0, so spectral subtraction does not apply"
+        )
     return spectrum(spec, 0.0, inner), (2.0 - 2.0 * h,) if h < 0.5 else ()
 
 
@@ -360,7 +366,7 @@ def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Toleran
     coefficients are read off the same FFT grid as every other periodic
     density, one Richardson step per cusp order.  Exists as an independent
     cross-check of :func:`acvf`; a weaker long-memory component makes phi
-    unbounded and raises :class:`DomainError`.
+    unbounded and raises :class:`DomainError` naming it, before any grid.
     """
     n_max = _as_int(n_max, "n_max")
     star = matched_fgn(spec)

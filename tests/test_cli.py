@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -20,7 +21,7 @@ from lrdlab import cli, sampler
 from lrdlab.errors import ConvergenceError, CoverageError
 from lrdlab.kernel_special import Tolerance
 from lrdlab.process_model import spec_from_json
-from lrdlab.sampler import sample
+from lrdlab.sampler import SamplePath, sample, sample_many
 
 FGN08 = {"type": "fgn", "H": 0.8, "V": 1.0}
 WHITE = {"type": "fgn", "H": 0.5, "V": 1.0}
@@ -411,6 +412,29 @@ class TestSampleCommand:
             got = np.array(obj["paths"], dtype=np.float64)
         want = np.stack([sample(spec_from_json(FARIMA03), n, s).values for s in seeds])
         assert got.tobytes() == want.tobytes()
+
+    def test_csv_holds_the_paths_and_one_chunk(self, tmp_path, monkeypatch):
+        # The path, t and value columns are derived a chunk at a time, so
+        # writing a batch allocates little beyond the paths themselves.
+        n, count = 2**13, 32
+        stored = sample_many(spec_from_json(WHITE), n, 11, count)
+        monkeypatch.setattr(
+            cli, "sample_many", lambda *a, **k: [SamplePath(p.spec, p.seed, p.values) for p in stored]
+        )
+        monkeypatch.setattr(cli, "_CHUNK", 2**12)
+        argv = ["sample", "--spec", write_spec(tmp_path, WHITE), "--nmax", str(n), "--seed", "11",
+                "--paths", str(count), "--out", str(tmp_path / "batch.csv")]
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < n * count * 8 + 64 * cli._CHUNK * 8
+        rows = (tmp_path / "batch.csv").read_text().splitlines()
+        assert len(rows) == 1 + n * count
+        assert rows[n + 1] == "1,0,%.17g" % stored[1].values[0]
 
     def test_oversized_seed_rejected(self, tmp_path, capsys):
         rc, _, err = run(

@@ -354,10 +354,19 @@ def test_subtraction_route_with_weaker_components(noise):
     assert float(np.max(np.abs(sub.values - acvf(spec, 200).values))) <= 1e-12
 
 
-def test_subtraction_route_rejects_an_unbounded_gap():
-    # A weaker long-memory component leaves phi = f - f* unbounded at 0.
-    with pytest.raises(DomainError):
+def test_subtraction_route_rejects_an_unbounded_gap(monkeypatch):
+    # A weaker long-memory component leaves phi = f - f* unbounded at 0; the
+    # error names it (index and H) before any grid is evaluated.
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(covariance_engine, "_periodic_coeffs", unreachable)
+    message = r"component 1 has weaker long memory \(H = 0\.7\) than the dominating H = 0\.8: .*f - f\* is unbounded at x = 0"
+    with pytest.raises(DomainError, match=message):
         acvf_via_subtraction(builtin_experiment(3).perturbed(), 10)
+    nested = Sum(((FracDiff(HurstParam(0.8), WhiteNoise()), 1.0), (builtin_experiment(3).perturbed(), 0.5)))
+    with pytest.raises(DomainError, match=r"component 1\.1 has weaker long memory \(H = 0\.7\)"):
+        acvf_via_subtraction(nested, 10)
 
 
 def test_convolution_route_against_subtraction():
