@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariance_engine import acvf, g_fourier_coeffs
 from .errors import CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance, _as_int, _gamma_ratio, _trigamma
+from .kernel_special import HurstParam, Tolerance, _as_frequencies, _as_int, _as_real, _gamma_ratio, _trigamma
 from .process_model import (
     Arma,
     Fgn,
@@ -269,10 +269,10 @@ def spectral_gap_profile(spec: ProcessSpec, x_grid, tol: Tolerance = Tolerance()
     is flagged degenerate with slope 0.
     """
     star = matched_fgn(spec)
-    xa = np.sort(np.asarray(list(x_grid), dtype=np.float64))
+    xa = np.sort(_as_frequencies(x_grid, "x_grid")[0])
     if xa.size == 0:
         raise DomainError("x_grid must be non-empty")
-    if not (xa[0] > 0.0 and xa[-1] <= 0.5):
+    if not xa[0] > 0.0:
         raise DomainError("x_grid must lie inside (0, 1/2]")
 
     f_star = np.atleast_1d(spectrum(star, xa, tol))
@@ -372,10 +372,7 @@ class BrittlenessExperiment:
     lags: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 
     def __post_init__(self) -> None:
-        w = float(self.weight)
-        if not (w > 0.0 and math.isfinite(w)):
-            raise DomainError(f"weight must be positive, got {self.weight!r}")
-        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight", _as_real(self.weight, "weight", positive=True))
         object.__setattr__(self, "levels", _int_grid(self.levels, "levels"))
         object.__setattr__(self, "lags", _int_grid(self.lags, "lags"))
         fp_base = matched_fgn(self.base)

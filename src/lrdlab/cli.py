@@ -35,7 +35,7 @@ from .asymptotics_lab import (
 )
 from .covariance_engine import _fgn_block, acvf
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import Tolerance, _as_int
+from .kernel_special import Tolerance, _as_int, _as_real
 from .process_model import spec_from_json, spec_to_json, spectrum
 from .sampler import sample, sample_many
 from .vtf_aggregation import VtfView, _lags, aggregate_ctf, aggregate_vtf
@@ -75,9 +75,8 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 def _tolerance(args) -> Tolerance:
     if args.tol is None:
         return Tolerance()
-    if not args.tol > 0:
-        raise DomainError(f"--tol must be positive, got {args.tol}")
-    return Tolerance(abs_tol=args.tol, rel_tol=args.tol)
+    tol = _as_real(args.tol, "--tol", positive=True)
+    return Tolerance(abs_tol=tol, rel_tol=tol)
 
 
 def _positive_int(args, name: str, minimum: int = 1) -> int:
@@ -281,14 +280,11 @@ def _custom_experiment(path: str) -> BrittlenessExperiment:
     for field in ("base", "noise", "weight"):
         if field not in obj:
             raise DomainError(f"experiment config is missing {field!r}")
-    weight = obj["weight"]
-    if not isinstance(weight, (int, float)) or isinstance(weight, bool):
-        raise DomainError("'weight' must be a number")
     kwargs = {field: obj[field] for field in ("levels", "lags") if obj.get(field) is not None}
     return BrittlenessExperiment(
         base=spec_from_json(obj["base"]),
         noise=spec_from_json(obj["noise"]),
-        weight=float(weight),
+        weight=obj["weight"],
         **kwargs,
     )
 
@@ -336,7 +332,7 @@ def cmd_sample(args) -> None:
             "seed": seed,
             "n": n,
             "path_seeds": [p.seed for p in paths],
-            "paths": np.stack([p.values for p in paths]),
+            "paths": [p.values for p in paths],
         }
         _emit(args, (), None, json_obj=json_obj)
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance, _as_hurst, _as_int, _gamma_ratio
+from .kernel_special import HurstParam, Tolerance, _as_hurst, _as_int, _as_real, _gamma_ratio
 from .process_model import (
     Fgn,
     FracDiff,
@@ -95,9 +95,7 @@ def fgn_acvf(H: float | HurstParam, V: float, n: int) -> float:
     so values stay within a few ulps of gamma(n) even where the direct
     difference of large powers would cancel catastrophically.
     """
-    h = _as_hurst(H)
-    if not (V > 0.0) or not math.isfinite(V):
-        raise DomainError(f"V must be positive, got {V!r}")
+    h, V = _as_hurst(H), _as_real(V, "V", positive=True)
     return float(_fgn_block(h.H, V, np.asarray([_as_int(n, "lag n")]))[0])
 
 
@@ -118,10 +116,9 @@ def farima00_acvf(d: float, sigma2: float, n: int) -> float:
     sigma^2 Gamma(1-2d)/Gamma(1-d)^2 and lags follow the stable ratio
     recursion.
     """
-    if not (0.0 < d < 0.5) or not math.isfinite(d):
+    d, sigma2 = _as_real(d, "d"), _as_real(sigma2, "sigma2", positive=True)
+    if not 0.0 < d < 0.5:
         raise DomainError(f"d must lie in (0, 1/2), got {d!r}")
-    if not (sigma2 > 0.0) or not math.isfinite(sigma2):
-        raise DomainError(f"sigma2 must be positive, got {sigma2!r}")
     n = _as_int(n, "lag n")
     return float(_farima00_values(d, sigma2, n)[n])
 
@@ -302,8 +299,6 @@ def _route_values(spec: ProcessSpec, n_max: int, tol: Tolerance) -> tuple[Route,
 
     if isinstance(spec, FracDiff):
         d = spec.H.d
-        if d >= 0.5:
-            raise DomainError("FracDiff needs H < 1 for a stationary autocovariance")
         gh = _driver_acvf(spec.driver, tol)
         k_top = len(gh) - 1
         # gamma(n) = sum over |k| <= K of gamma_h(k) gamma_F(n - k); the

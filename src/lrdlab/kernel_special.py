@@ -32,10 +32,11 @@ __all__ = [
 class Tolerance:
     """Error budget handed to adaptive routines.
 
-    ``abs_tol`` is the absolute error target, ``rel_tol`` the relative one;
-    a routine stops once its remainder bound is below either.  ``max_terms``
-    caps the work; exceeding it raises :class:`ConvergenceError` rather than
-    returning a silently degraded value.
+    ``abs_tol`` is the absolute error target that sizes the adaptive loops
+    (lattice-sum tails, FFT grids).  ``rel_tol`` steers no loop: it is the
+    relative accuracy the results promise, which the tests check.
+    ``max_terms`` caps the work; exceeding it raises :class:`ConvergenceError`
+    rather than returning a silently degraded value.
     """
 
     abs_tol: float = 1e-12
@@ -43,8 +44,8 @@ class Tolerance:
     max_terms: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("tolerances must be positive")
+        object.__setattr__(self, "abs_tol", _as_real(self.abs_tol, "abs_tol", positive=True))
+        object.__setattr__(self, "rel_tol", _as_real(self.rel_tol, "rel_tol", positive=True))
         object.__setattr__(self, "max_terms", _as_int(self.max_terms, "max_terms", 1))
 
 
@@ -60,8 +61,8 @@ class HurstParam:
     H: float
 
     def __post_init__(self) -> None:
-        h = float(self.H)
-        if not (0.0 < h <= 1.0) or not math.isfinite(h):
+        h = _as_real(self.H, "Hurst exponent")
+        if not 0.0 < h <= 1.0:
             raise DomainError(f"Hurst exponent must lie in (0, 1], got {self.H!r}")
         object.__setattr__(self, "H", h)
 
@@ -75,7 +76,7 @@ class HurstParam:
 
 
 def _as_hurst(H: float | HurstParam) -> HurstParam:
-    return H if isinstance(H, HurstParam) else HurstParam(float(H))
+    return H if isinstance(H, HurstParam) else HurstParam(H)
 
 
 def _as_int(value, what: str, minimum: int | None = 0) -> int:
@@ -91,6 +92,27 @@ def _as_int(value, what: str, minimum: int | None = 0) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise DomainError(f"{what} must be an integer{bound}, got {value!r}")
     return int(value)
+
+
+def _as_real(value, what: str, positive: bool = False) -> float:
+    """``value`` as a float; a bool, a non-real, a non-finite value or, when
+    ``positive``, a value <= 0 raises DomainError naming ``what``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not real or (positive and not value > 0):
+        kind = "a positive finite real" if positive else "a finite real"
+        raise DomainError(f"{what} must be {kind}, got {value!r}")
+    return float(value)
+
+
+def _as_frequencies(x, what: str = "frequency") -> tuple[np.ndarray, bool]:
+    """(x as a 1-D float64 array, whether x was a scalar); x needs an integer
+    or float dtype and finite entries in [-1/2, 1/2], else DomainError."""
+    xa = np.asarray(x)
+    if xa.dtype.kind in "iuf":
+        scalar, xa = xa.ndim == 0, np.atleast_1d(xa.astype(np.float64, copy=False))
+        if np.all(np.isfinite(xa)) and not np.any(np.abs(xa) > 0.5):
+            return xa, scalar
+    raise DomainError(f"{what} must be real and lie in [-1/2, 1/2]")
 
 
 # B_0..B_14 (B_1 = -1/2), each numerator/denominator pair divided once in
@@ -182,7 +204,8 @@ def frac_diff_coeffs(d: float, n_max: int) -> np.ndarray:
     psi_j = psi_{j-1} (j - 1 - d) / j.  Requires -1 < d < 1/2; d = 0
     degenerates to the identity filter.
     """
-    if not (-1.0 < d < 0.5) or not math.isfinite(d):
+    d = _as_real(d, "fractional order")
+    if not -1.0 < d < 0.5:
         raise DomainError(f"fractional order must lie in (-1, 1/2), got {d!r}")
     n_max = _as_int(n_max, "n_max")
     psi = np.empty(n_max + 1, dtype=np.float64)
@@ -232,11 +255,9 @@ def fgn_lattice_sum(x, H: float | HurstParam, tol: Tolerance = Tolerance()):
     """
     h = _as_hurst(H).H
     s = 2.0 * h + 1.0
-    xa = np.asarray(x, dtype=np.float64)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if xa.size and (np.any(np.abs(xa) > 0.5) or np.any(xa == 0.0) or not np.all(np.isfinite(xa))):
-        raise DomainError("lattice sum needs x in [-1/2, 1/2], x != 0")
+    xa, scalar = _as_frequencies(x)
+    if np.any(xa == 0.0):
+        raise DomainError("lattice sum needs x != 0")
 
     # The (2 pi)^(-s) prefactor scales the tail bound too, so solve for the
     # smallest J with prefactor * bound(J) <= abs_tol.

@@ -13,12 +13,23 @@ white noise has density identically 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel_special import HurstParam, Tolerance, _as_hurst, _gamma_ratio, _sin_pi, c_of_H, fgn_lattice_sum
+from .kernel_special import (
+    HurstParam,
+    Tolerance,
+    _as_frequencies,
+    _as_hurst,
+    _as_real,
+    _gamma_ratio,
+    _sin_pi,
+    c_of_H,
+    fgn_lattice_sum,
+)
 
 __all__ = [
     "ShortMemorySpec",
@@ -48,21 +59,10 @@ class ShortMemorySpec:
     __slots__ = ()
 
 
-def _check_positive(value: float, what: str) -> float:
-    v = float(value)
-    if not (v > 0.0) or not math.isfinite(v):
-        raise DomainError(f"{what} must be positive, got {value!r}")
-    return v
-
-
 def _as_real_tuple(values, what: str) -> tuple[float, ...]:
-    try:
-        out = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"{what} must be a sequence of reals") from exc
-    if any(not math.isfinite(v) for v in out):
-        raise DomainError(f"{what} must be finite")
-    return out
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise DomainError(f"{what} must be a sequence of reals, got {values!r}")
+    return tuple(_as_real(v, f"{what} coefficient") for v in values)
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class WhiteNoise(ShortMemorySpec):
     variance: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "variance", _check_positive(self.variance, "variance"))
+        object.__setattr__(self, "variance", _as_real(self.variance, "variance", positive=True))
 
 
 def _reject_unit_roots(ascending: tuple[float, ...], what: str) -> None:
@@ -103,7 +103,7 @@ class Arma(ShortMemorySpec):
         object.__setattr__(self, "ar", _as_real_tuple(self.ar, "ar"))
         object.__setattr__(self, "ma", _as_real_tuple(self.ma, "ma"))
         object.__setattr__(
-            self, "innovation_variance", _check_positive(self.innovation_variance, "innovation_variance")
+            self, "innovation_variance", _as_real(self.innovation_variance, "innovation_variance", positive=True)
         )
         _reject_unit_roots((1.0, *(-a for a in self.ar)), "AR")
         _reject_unit_roots((1.0, *self.ma), "MA")
@@ -138,18 +138,20 @@ class Fgn(ProcessSpec):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "H", _as_hurst(self.H))
-        object.__setattr__(self, "V", _check_positive(self.V, "V"))
+        object.__setattr__(self, "V", _as_real(self.V, "V", positive=True))
 
 
 @dataclass(frozen=True)
 class FracDiff(ProcessSpec):
-    """Short-memory driver passed through the filter |1 - B|^(-(H - 1/2))."""
+    """Short-memory driver passed through the filter |1 - B|^(-(H - 1/2)), H < 1."""
 
     H: HurstParam
     driver: ShortMemorySpec = field(default_factory=WhiteNoise)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "H", _as_hurst(self.H))
+        if self.H.H >= 1.0:
+            raise DomainError("FracDiff needs H < 1 for a stationary autocovariance")
         if not isinstance(self.driver, ShortMemorySpec):
             raise DomainError(f"driver must be a ShortMemorySpec, got {type(self.driver).__name__}")
 
@@ -166,7 +168,7 @@ class Sum(ProcessSpec):
             spec, weight = item
             if not isinstance(spec, ProcessSpec):
                 raise DomainError(f"Sum component must be a ProcessSpec, got {type(spec).__name__}")
-            comps.append((spec, _check_positive(weight, "component weight")))
+            comps.append((spec, _as_real(weight, "component weight", positive=True)))
         if not comps:
             raise DomainError("Sum needs at least one component")
         object.__setattr__(self, "components", tuple(comps))
@@ -181,21 +183,12 @@ def dominating_hurst(spec: ProcessSpec) -> float:
     raise DomainError(f"unknown process spec {type(spec).__name__}")
 
 
-def _domain_x(x):
-    xa = np.asarray(x, dtype=np.float64)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if xa.size and (np.any(np.abs(xa) > 0.5) or not np.all(np.isfinite(xa))):
-        raise DomainError("frequency must lie in [-1/2, 1/2]")
-    return xa, scalar
-
-
 def driver_density(s: ShortMemorySpec, x):
     """Short-memory spectral density h(x) on [-1/2, 1/2].
 
     Accepts a scalar or array argument; always finite and positive.
     """
-    xa, scalar = _domain_x(x)
+    xa, scalar = _as_frequencies(x)
     if isinstance(s, WhiteNoise):
         out = np.full(xa.shape, s.variance)
     elif isinstance(s, Arma):
@@ -271,7 +264,7 @@ def spectrum(spec: ProcessSpec, x, tol: Tolerance = Tolerance()):
     x = 0 is rejected for long-range dependent specs (the density diverges
     there) and evaluates to the flat/vanishing limit otherwise.
     """
-    xa, scalar = _domain_x(x)
+    xa, scalar = _as_frequencies(x)
     out = _spectrum_array(spec, xa, tol)
     return float(out[0]) if scalar else out
 
@@ -340,12 +333,7 @@ def _check_fields(obj: dict, what: str, required: frozenset, optional: frozenset
 
 
 def _json_number(obj: dict, key: str, what: str, default=None) -> float:
-    if key not in obj:
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise DomainError(f"field {key!r} of {what} spec must be a number")
-    return float(v)
+    return _as_real(obj[key], f"field {key!r} of {what} spec") if key in obj else default
 
 
 def _driver_from_json(obj) -> ShortMemorySpec:
@@ -357,14 +345,10 @@ def _driver_from_json(obj) -> ShortMemorySpec:
         return WhiteNoise(_json_number(obj, "sigma2", "white", 1.0))
     if kind == "arma":
         _check_fields(obj, "arma", frozenset(), frozenset({"ar", "ma", "sigma2"}))
-        return Arma(
-            ar=_as_real_tuple(obj.get("ar", ()), "ar"),
-            ma=_as_real_tuple(obj.get("ma", ()), "ma"),
-            innovation_variance=_json_number(obj, "sigma2", "arma", 1.0),
-        )
+        return Arma(obj.get("ar", ()), obj.get("ma", ()), _json_number(obj, "sigma2", "arma", 1.0))
     if kind == "fexp":
         _check_fields(obj, "fexp", frozenset({"theta"}), frozenset())
-        return Fexp(_as_real_tuple(obj["theta"], "theta"))
+        return Fexp(obj["theta"])
     raise DomainError(f"unknown driver type {kind!r}")
 
 
@@ -384,7 +368,7 @@ def spec_from_json(obj) -> ProcessSpec:
         # long-range spec by an explicit H (default 1/2, i.e. no filter).
         _check_fields(obj, "fexp", frozenset({"theta"}), frozenset({"H"}))
         h = _json_number(obj, "H", "fexp", 0.5)
-        return FracDiff(HurstParam(h), Fexp(_as_real_tuple(obj["theta"], "theta")))
+        return FracDiff(HurstParam(h), Fexp(obj["theta"]))
     if kind == "sum":
         _check_fields(obj, "sum", frozenset({"components"}), frozenset())
         comps = obj["components"]

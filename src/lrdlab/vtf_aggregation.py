@@ -140,8 +140,6 @@ class VtfView:
         if isinstance(spec, Fgn):
             self.H, self.V, self.D = spec.H, spec.V, 0.0
         elif isinstance(spec, FracDiff):
-            if spec.H.d >= 0.5:
-                raise DomainError("FracDiff needs H < 1 for a stationary autocovariance")
             # By the exchange identity for gamma = gamma_h * gamma_F, omega(n) =
             # sum_{|k|<=K} gamma_h(k) omega_F(|n+k|) - C, C = sum_k gamma_h(k) omega_F(|k|).
             unit, gh = self._unit, self._gh = _Farima00(spec.H.d), _driver_acvf(spec.driver, tol)

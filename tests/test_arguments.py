@@ -1,13 +1,20 @@
-"""Contracts shared by every module: integer arguments and exported names.
+"""Contracts shared by every module: integer, real and frequency arguments,
+and exported names.
 
 Every size, lag, level, count and seed goes through one validator, so a
 bool, a fraction or a value below the parameter's minimum is refused the
 same way everywhere: a DomainError that names the parameter.  Integral
-floats and numpy integers are integers.
+floats and numpy integers are integers.  Every real scalar (Hurst
+exponents, variances, weights, coefficients, tolerances) goes through
+another: a bool, a string, None or a non-finite value is refused, and so
+is a non-positive value where the parameter must be positive.  Frequency
+arrays must have a numeric dtype and finite entries in [-1/2, 1/2].
 """
 
 import argparse
 import importlib
+import json
+import math
 import pkgutil
 import re
 
@@ -32,8 +39,8 @@ from lrdlab.covariance_engine import (
     g_fourier_coeffs,
 )
 from lrdlab.errors import DomainError
-from lrdlab.kernel_special import HurstParam, Tolerance, frac_diff_coeffs
-from lrdlab.process_model import Fgn, FracDiff, WhiteNoise
+from lrdlab.kernel_special import HurstParam, Tolerance, fgn_lattice_sum, frac_diff_coeffs
+from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, Sum, WhiteNoise, driver_density, spec_from_json, spectrum
 from lrdlab.sampler import empirical_acvf, sample, sample_many
 from lrdlab.vtf_aggregation import AggregatedVtf, aggregate_ctf, aggregate_vtf, vtf
 
@@ -96,6 +103,84 @@ def test_integer_arguments_are_validated_one_way(where):
             call(bad)
     call(float(good))
     call(np.int64(good))
+
+
+# (parameter the message starts with, whether it must be positive, an
+# accepted value (an int where the domain holds one), the call).
+REAL_PARAMETERS = {
+    "HurstParam": ("Hurst exponent", True, 1, HurstParam),
+    "Fgn H": ("Hurst exponent", True, 1, lambda v: Fgn(v, 1.0)),
+    "Fgn V": ("V", True, 2, lambda v: Fgn(0.8, v)),
+    "WhiteNoise": ("variance", True, 2, WhiteNoise),
+    "Arma ar": ("ar coefficient", False, 0, lambda v: Arma((v,))),
+    "Arma ma": ("ma coefficient", False, 0, lambda v: Arma((), (v,))),
+    "Arma innovation_variance": ("innovation_variance", True, 2, lambda v: Arma((0.5,), (), v)),
+    "Fexp": ("theta coefficient", False, 1, lambda v: Fexp((0.5, v))),
+    "Sum weight": ("component weight", True, 2, lambda v: Sum(((FGN08, 1.0), (WHITE, v)))),
+    "spec JSON H": ("field 'H' of fgn spec", False, 1, lambda v: spec_from_json({"type": "fgn", "H": v, "V": 1})),
+    "spec JSON V": ("field 'V' of fgn spec", False, 2, lambda v: spec_from_json({"type": "fgn", "H": 0.8, "V": v})),
+    "fgn_acvf H": ("Hurst exponent", True, 1, lambda v: fgn_acvf(v, 1.0, 3)),
+    "fgn_acvf V": ("V", True, 2, lambda v: fgn_acvf(0.8, v, 3)),
+    "farima00_acvf d": ("d", True, 0.3, lambda v: farima00_acvf(v, 1.0, 3)),
+    "farima00_acvf sigma2": ("sigma2", True, 2, lambda v: farima00_acvf(0.3, v, 3)),
+    "frac_diff_coeffs": ("fractional order", False, 0, lambda v: frac_diff_coeffs(v, 3)),
+    "Tolerance abs_tol": ("abs_tol", True, 1, lambda v: Tolerance(abs_tol=v)),
+    "Tolerance rel_tol": ("rel_tol", True, 1, lambda v: Tolerance(rel_tol=v)),
+    "BrittlenessExperiment": ("weight", True, 1, lambda v: BrittlenessExperiment(FGN08, WHITE, v, lags=(1,))),
+}
+
+
+def _same(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("where", sorted(REAL_PARAMETERS))
+def test_real_arguments_are_validated_one_way(where):
+    name, positive, good, call = REAL_PARAMETERS[where]
+    bad_values = [True, "0.5", math.nan, math.inf, -math.inf, None] + ([0, -1] if positive else [])
+    for bad in bad_values:
+        with pytest.raises(DomainError, match="^" + re.escape(name) + " "):
+            call(bad)
+    expected = call(good)
+    assert _same(call(float(good)), expected)
+    assert _same(call(np.float64(good)), expected)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: spectrum(FGN08, x),
+    lambda x: driver_density(WhiteNoise(1.0), x),
+    lambda x: fgn_lattice_sum(x, 0.8),
+], ids=["spectrum", "driver_density", "fgn_lattice_sum"])
+def test_frequency_arrays_are_validated_one_way(call):
+    for bad in ("0.1", np.array([True]), np.array([0.1], dtype=object), np.array([0.1, math.nan]), [0.6]):
+        with pytest.raises(DomainError, match="frequency"):
+            call(bad)
+    assert _same(call(np.array([0.1, 0.5])), np.array([call(0.1), call(0.5)]))
+
+
+ARMA_SPEC = {"type": "fracdiff", "H": 0.8, "driver": {"type": "arma", "ar": [0.3]}}
+
+
+@pytest.mark.parametrize("field, config", [
+    ("ar", {**ARMA_SPEC, "driver": {"type": "arma", "ar": "05"}}),
+    ("ar", {**ARMA_SPEC, "driver": {"type": "arma", "ar": ["0.3"]}}),
+    ("theta", {"type": "fexp", "theta": [True]}),
+    ("weight", {"base": ARMA_SPEC, "noise": {"type": "fgn", "H": 0.5, "V": 1.0}, "weight": "0.1"}),
+], ids=["ar string", "ar string entry", "theta bool entry", "experiment weight string"])
+def test_cli_refuses_malformed_reals(tmp_path, capsys, field, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    command = ["brittle", "--spec"] if "weight" in config else ["acvf", "--spec"]
+    assert cli.main([*command, str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_cli_refuses_non_finite_tolerance(tmp_path, capsys, tol):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(ARMA_SPEC))
+    assert cli.main(["acvf", "--spec", str(path), "--tol", tol]) == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 def _modules():

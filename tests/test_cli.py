@@ -436,6 +436,30 @@ class TestSampleCommand:
         assert len(rows) == 1 + n * count
         assert rows[n + 1] == "1,0,%.17g" % stored[1].values[0]
 
+    def test_json_holds_the_paths_and_one_chunk(self, tmp_path, monkeypatch):
+        # The paths are written one array at a time, with no stacked copy of
+        # the batch.  The shortest-repr kernel keeps more temporaries per
+        # value than %.17g, hence the larger per-chunk allowance.
+        n, count = 2**13, 32
+        stored = sample_many(spec_from_json(WHITE), n, 11, count)
+        monkeypatch.setattr(
+            cli, "sample_many", lambda *a, **k: [SamplePath(p.spec, p.seed, p.values) for p in stored]
+        )
+        monkeypatch.setattr(cli, "_CHUNK", 2**10)
+        argv = ["sample", "--spec", write_spec(tmp_path, WHITE), "--nmax", str(n), "--seed", "11",
+                "--paths", str(count), "--format", "json", "--out", str(tmp_path / "batch.json")]
+        tracemalloc.start()
+        try:
+            rc = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < n * count * 8 + 128 * cli._CHUNK * 8
+        obj = json.loads((tmp_path / "batch.json").read_text())
+        assert obj["path_seeds"] == [p.seed for p in stored]
+        assert np.array_equal(obj["paths"], [p.values for p in stored])
+
     def test_oversized_seed_rejected(self, tmp_path, capsys):
         rc, _, err = run(
             ["sample", "--spec", write_spec(tmp_path, WHITE), "--nmax", "8", "--seed", str(2**64)],
