@@ -160,19 +160,24 @@ class GCoeffs:
 
 
 def _periodic_coeffs(
-    half_samples, lo: int, hi: int, min_log2: int, tol: Tolerance, what: str,
+    density, at_zero: float, hi: int, min_log2: int, tol: Tolerance, what: str,
     cusp_orders: tuple[float, ...] = (),
 ):
-    """Fourier coefficients lo..hi of an even, 1-periodic density.
+    """Fourier coefficients 0..hi of an even, 1-periodic density.
 
-    ``half_samples(N)`` returns the density at k/N for k = 0..N/2; the grid
-    is mirrored, read off an FFT (trapezoid quadrature is exact for smooth
-    periodic functions up to aliasing) and doubled until the requested
-    coefficients move by at most tol.abs_tol.  A cusp |x|^(p-1) at x = 0
+    ``density(x)`` returns the density at points x in (0, 1/2] and
+    ``at_zero`` is its value (or limit) at x = 0.  The samples at k/N for
+    k = 0..N/2 are mirrored and read off an FFT (trapezoid quadrature is
+    exact for smooth periodic functions up to aliasing), and the grid
+    doubles until the requested coefficients move by at most tol.abs_tol.
+    Each doubling keeps the previous samples, which sit at the even k, and
+    evaluates the density only at the N/4 new odd k (nested trapezoid
+    refinement, Numerical Recipes 4.2), so a run that ends on an N-point
+    grid evaluates N/2 points in all, each once.  A cusp |x|^(p-1) at x = 0
     leaves an aliasing error c N^(-p) (the generalised Euler-Maclaurin
     expansion); each order p in ``cusp_orders`` is removed by one Richardson
     step over successive grids, and the stopping test applies to the last
-    column.  Grid points count against tol.max_terms.
+    column.  Grid sizes count against tol.max_terms.
     """
     orders = sorted(set(cusp_orders))
     n_grid = 1 << max(min_log2, int(math.ceil(math.log2(8 * (hi + 1)))))
@@ -183,9 +188,15 @@ def _periodic_coeffs(
             raise ConvergenceError(f"{what} grid exceeded {_GRID_CAP} points: {residual}")
         if n_grid > tol.max_terms:
             raise ConvergenceError(f"{what} not stable within {tol.max_terms} grid points: {residual}")
-        half = half_samples(n_grid)
+        if prev:  # samples at k/N, k = 0..N/2: the last grid's at the even k
+            fine = np.empty(n_grid // 2 + 1)
+            fine[::2] = half
+            fine[1::2] = density(np.arange(1, n_grid // 2, 2, dtype=np.float64) / n_grid)
+            half = fine
+        else:
+            half = np.concatenate(([at_zero], density(np.arange(1, n_grid // 2 + 1, dtype=np.float64) / n_grid)))
         coeff = np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real / n_grid
-        row = [coeff[lo : hi + 1]]
+        row = [coeff[: hi + 1]]
         for k, p in enumerate(orders[: len(prev)]):
             row.append(row[k] + (row[k] - prev[k]) / (2.0**p - 1.0))
         residual = f"only the {n_grid}-point grid was evaluated"
@@ -222,12 +233,11 @@ def g_fourier_coeffs(
     star = matched_fgn(spec)
     inner = _inner_tol(tol)
 
-    def ratio(n_grid: int) -> np.ndarray:
-        # g has a removable point at x = 0, filled with its limit g(0) = 1.
-        x = np.arange(1, n_grid // 2 + 1, dtype=np.float64) / n_grid
-        return np.concatenate(([1.0], spectrum(spec, x, inner) / spectrum(star, x, inner)))
+    def ratio(x: np.ndarray) -> np.ndarray:
+        return spectrum(spec, x, inner) / spectrum(star, x, inner)
 
-    coeff = _periodic_coeffs(ratio, 0, J_max, 16, tol, "G coefficient")
+    # g has a removable point at x = 0, filled with its limit g(0) = 1.
+    coeff = _periodic_coeffs(ratio, 1.0, J_max, 16, tol, "G coefficient")
 
     # The envelope is measured from j = 100 on; below that |G_j| j^3 has not
     # settled, so a shorter range has no measured envelope and no bound.
@@ -279,12 +289,12 @@ def _driver_acvf(driver: ShortMemorySpec, tol: Tolerance) -> np.ndarray:
     if isinstance(driver, WhiteNoise):
         return np.array([driver.variance])
 
-    def density(n_grid: int) -> np.ndarray:
-        return driver_density(driver, np.arange(0, n_grid // 2 + 1, dtype=np.float64) / n_grid)
+    def density(x: np.ndarray) -> np.ndarray:
+        return driver_density(driver, x)
 
-    hi = 64
+    h0, hi = driver_density(driver, 0.0), 64
     while True:
-        gh = _periodic_coeffs(density, 0, hi, 12, tol, "driver autocovariance")
+        gh = _periodic_coeffs(density, h0, hi, 12, tol, "driver autocovariance")
         dropped = 2.0 * np.cumsum(np.abs(gh[:0:-1]))[::-1]  # dropped[k] = 2 sum_{j>k} |gamma_h(j)|
         floor = (2 * np.arange(hi) + 1) * np.finfo(np.float64).eps * (abs(gh[0]) + dropped[0])
         if dropped[hi // 2] <= floor[hi // 2]:  # dropped falls and floor grows with k
@@ -368,11 +378,10 @@ def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Toleran
     inner = _inner_tol(tol)
     phi0, orders = _gap_at_zero(spec, star.H.H, inner)
 
-    def phi(n_grid: int) -> np.ndarray:
-        x = np.arange(1, n_grid // 2 + 1, dtype=np.float64) / n_grid
-        return np.concatenate(([phi0], spectrum(spec, x, inner) - spectrum(star, x, inner)))
+    def phi(x: np.ndarray) -> np.ndarray:
+        return spectrum(spec, x, inner) - spectrum(star, x, inner)
 
-    gap = _periodic_coeffs(phi, 0, n_max, 12, tol, "density gap", orders)
+    gap = _periodic_coeffs(phi, phi0, n_max, 12, tol, "density gap", orders)
     values = _fgn_block(star.H.H, star.V, np.arange(n_max + 1)) + gap
     return AcvfTable(spec, Route.SPECTRAL_SUBTRACTION, values)
 

@@ -106,9 +106,14 @@ def _as_real(value, what: str, positive: bool = False) -> float:
 
 def _as_frequencies(x, what: str = "frequency") -> tuple[np.ndarray, bool]:
     """(x as a 1-D float64 array, whether x was a scalar); x needs an integer
-    or float dtype and finite entries in [-1/2, 1/2], else DomainError."""
+    or float dtype and finite entries in [-1/2, 1/2], else DomainError.  A
+    list that mixes bools with numbers infers a numeric dtype, so non-array
+    input is also refused when any element is a bool."""
     xa = np.asarray(x)
-    if xa.dtype.kind in "iuf":
+    mixed = xa.ndim > 0 and not isinstance(x, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat
+    )
+    if xa.dtype.kind in "iuf" and not mixed:
         scalar, xa = xa.ndim == 0, np.atleast_1d(xa.astype(np.float64, copy=False))
         if np.all(np.isfinite(xa)) and not np.any(np.abs(xa) > 0.5):
             return xa, scalar
@@ -252,6 +257,12 @@ def fgn_lattice_sum(x, H: float | HurstParam, tol: Tolerance = Tolerance()):
     at abs_tol = 1e-14.  Against 40-digit mpmath Hurwitz zetas the result is
     within 8.9e-15 relative over H in [0.02, 1] and |x| in [1e-6, 1/2] at
     either tolerance.
+
+    The direct pairs (j + x)^(-s) + (j - x)^(-s) are added to one
+    accumulator in order j = 1..J-1, and the tails are formed in the same
+    buffers, so the work space is a few arrays the size of x and each value
+    depends on its own x alone: a scalar and the same x inside an array give
+    the same bits.
     """
     h = _as_hurst(H).H
     s = 2.0 * h + 1.0
@@ -271,20 +282,31 @@ def fgn_lattice_sum(x, H: float | HurstParam, tol: Tolerance = Tolerance()):
             )
 
     tail = _lattice_tail_coeffs(s)[5::-1]  # a_6..a_1, for Horner's rule
-    j = np.arange(1, J, dtype=np.float64)[:, None]
-    out = np.empty_like(xa)
-    # Chunk the evaluation points so the (J, n_points) intermediate stays small.
-    step = max(1, 2_000_000 // max(J, 1))
-    for lo in range(0, xa.size, step):
-        xc = xa[lo : lo + step]
-        core = np.abs(xc) ** (-s)
-        core = core + np.sum((j + xc) ** (-s) + (j - xc) ** (-s), axis=0)
-        for c in (xc, -xc):
-            base = J + c
-            u = 1.0 / (base * base)
-            poly = tail[0]
-            for a in tail[1:]:
-                poly = poly * u + a
-            core = core + base ** (-s) * (base / (s - 1.0) + 0.5 + poly / base)
-        out[lo : lo + step] = pref * core
+    # Every step works in place on buffers the size of x.  The direct terms
+    # go pair by pair, (j + x)^(-s) + (j - x)^(-s) for j = 1..J-1, into one
+    # accumulator.
+    direct, plus, minus = np.zeros_like(xa), np.empty_like(xa), np.empty_like(xa)
+    for j in range(1, J):
+        np.power(np.add(xa, j, out=plus), -s, out=plus)
+        np.power(np.subtract(j, xa, out=minus), -s, out=minus)
+        plus += minus
+        direct += plus
+    out = np.abs(xa) ** (-s) + direct
+    # Each tail, at b = J + x and at b = J - x, adds
+    # b^(-s) (b/(s-1) + 1/2 + poly/b) with poly the a_k in 1/b^2.
+    base, u, poly, term = direct, plus, minus, np.empty_like(xa)  # the buffers reused
+    for shift in (np.add, np.subtract):
+        shift(float(J), xa, out=base)
+        np.divide(1.0, np.multiply(base, base, out=u), out=u)
+        poly.fill(tail[0])
+        for a in tail[1:]:
+            poly *= u
+            poly += a
+        np.divide(base, s - 1.0, out=term)
+        term += 0.5
+        poly /= base
+        term += poly
+        term *= np.power(base, -s, out=base)
+        out += term
+    out *= pref
     return float(out[0]) if scalar else out

@@ -164,8 +164,11 @@ class Sum(ProcessSpec):
 
     def __post_init__(self) -> None:
         comps = []
-        for item in self.components:
-            spec, weight = item
+        for i, item in enumerate(self.components):
+            try:
+                spec, weight = item
+            except (TypeError, ValueError):
+                raise DomainError(f"Sum component {i} must be a (spec, weight) pair, got {item!r}") from None
             if not isinstance(spec, ProcessSpec):
                 raise DomainError(f"Sum component must be a ProcessSpec, got {type(spec).__name__}")
             comps.append((spec, _as_real(weight, "component weight", positive=True)))

@@ -152,10 +152,18 @@ def test_real_arguments_are_validated_one_way(where):
     lambda x: fgn_lattice_sum(x, 0.8),
 ], ids=["spectrum", "driver_density", "fgn_lattice_sum"])
 def test_frequency_arrays_are_validated_one_way(call):
-    for bad in ("0.1", np.array([True]), np.array([0.1], dtype=object), np.array([0.1, math.nan]), [0.6]):
+    for bad in ("0.1", np.array([True]), np.array([0.1], dtype=object), np.array([0.1, math.nan]), [0.6], [False, 0.1]):
         with pytest.raises(DomainError, match="frequency"):
             call(bad)
     assert _same(call(np.array([0.1, 0.5])), np.array([call(0.1), call(0.5)]))
+
+
+@pytest.mark.parametrize(
+    "component", [(FGN08,), (FGN08, 1.0, 2.0), FGN08, 5], ids=["single", "triple", "bare spec", "number"]
+)
+def test_sum_components_must_be_pairs(component):
+    with pytest.raises(DomainError, match=r"^Sum component 1 must be a \(spec, weight\) pair, got "):
+        Sum(((WHITE, 1.0), component))
 
 
 ARMA_SPEC = {"type": "fracdiff", "H": 0.8, "driver": {"type": "arma", "ar": [0.3]}}

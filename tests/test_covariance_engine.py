@@ -32,7 +32,7 @@ from lrdlab.covariance_engine import (
     fgn_acvf,
     g_fourier_coeffs,
 )
-from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, Sum, WhiteNoise, matched_fgn
+from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, Sum, WhiteNoise, driver_density, matched_fgn, spectrum
 
 FGN_ORACLE = {
     (0.8, 1): 0.51571656651039808235,
@@ -265,6 +265,100 @@ def test_periodic_coefficient_grids_count_against_max_terms():
     residual = r"grid points: the 65536-point grid moved coefficients by \S+ against abs_tol 1e-30"
     with pytest.raises(ConvergenceError, match=residual):
         acvf_via_subtraction(spec, 10, Tolerance(abs_tol=1e-30, max_terms=1 << 16))
+
+
+def _fresh_grid_coeffs(density, at_zero, hi, min_log2, tol, cusp_orders=()):
+    # The engine before nested refinement, kept as the bit-for-bit reference:
+    # every grid samples the density afresh at k/N, k = 1..N/2.  Returns the
+    # coefficients and the size of the grid they were read off.
+    orders = sorted(set(cusp_orders))
+    n_grid = 1 << max(min_log2, int(math.ceil(math.log2(8 * (hi + 1)))))
+    prev = []
+    while True:
+        half = np.concatenate(([at_zero], density(np.arange(1, n_grid // 2 + 1, dtype=np.float64) / n_grid)))
+        coeff = np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real / n_grid
+        row = [coeff[: hi + 1]]
+        for k, p in enumerate(orders[: len(prev)]):
+            row.append(row[k] + (row[k] - prev[k]) / (2.0**p - 1.0))
+        if prev:
+            k = len(prev) - 1
+            if k == len(orders) and float(np.max(np.abs(row[k] - prev[k]))) <= tol.abs_tol:
+                return row[k], n_grid
+        prev = row
+        n_grid *= 2
+
+
+INNER = covariance_engine._inner_tol(Tolerance())
+
+
+def _ratio_case(h):
+    spec = FracDiff(HurstParam(h), FARIMA11_DRIVER)
+    star = matched_fgn(spec)
+    return (lambda x: spectrum(spec, x, INNER) / spectrum(star, x, INNER)), 1.0, ()
+
+
+def _driver_case(driver):
+    return (lambda x: driver_density(driver, x)), driver_density(driver, 0.0), ()
+
+
+def _gap_case(spec):
+    star = matched_fgn(spec)
+    phi0, orders = covariance_engine._gap_at_zero(spec, star.H.H, INNER)
+    return (lambda x: spectrum(spec, x, INNER) - spectrum(star, x, INNER)), phi0, orders
+
+
+# (density on (0, 1/2], its value at 0, cusp orders), the highest coefficient
+# and the smallest grid's log2.  The grids start below the callers' so that
+# each run refines its first grid, the smooth FEXP density once, the others
+# two to eight times.
+GRID_CASES = {
+    "G ratio H=0.55": (lambda: _ratio_case(0.55), 8, 4),
+    "G ratio H=0.8": (lambda: _ratio_case(0.8), 8, 4),
+    "G ratio H=0.95": (lambda: _ratio_case(0.95), 8, 4),
+    "ARMA driver": (lambda: _driver_case(Arma((0.9,), (0.4,))), 16, 6),
+    "FEXP driver": (lambda: _driver_case(Fexp((0.5, -0.2))), 16, 6),
+    "gap AR(0.9)": (lambda: _gap_case(FracDiff(HurstParam(0.8), Arma((0.9,), ()))), 32, 12),
+    "gap with an antipersistent part": (lambda: _gap_case(
+        Sum(((FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 1.0), (FracDiff(HurstParam(0.4), WhiteNoise(1.0)), 0.2)))
+    ), 32, 12),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_periodic_coeffs_evaluate_each_grid_point_once(case):
+    # Each doubling keeps the previous samples and evaluates only the new
+    # odd points, so a run ending on an N-point grid asks the density for
+    # N/2 points in all, each once; the FFT sees the same doubles as with
+    # fresh grids, so the coefficients are bit-identical.
+    make, hi, min_log2 = GRID_CASES[case]
+    density, at_zero, orders = make()
+    asked = []
+
+    def counting(x):
+        asked.append(x.copy())
+        return density(x)
+
+    tol = Tolerance()
+    got = covariance_engine._periodic_coeffs(counting, at_zero, hi, min_log2, tol, case, orders)
+    want, n_final = _fresh_grid_coeffs(density, at_zero, hi, min_log2, tol, orders)
+    assert got.tobytes() == want.tobytes()
+    assert len(asked) >= 2, "the run should refine its first grid"
+    points = np.sort(np.concatenate(asked))
+    assert np.array_equal(points, np.arange(1, n_final // 2 + 1) / n_final)
+
+
+def test_public_routes_read_the_engine():
+    # g_fourier_coeffs and acvf_via_subtraction hand the engine the same
+    # densities as the grid cases above.
+    density, at_zero, orders = _ratio_case(0.8)
+    want, _ = _fresh_grid_coeffs(density, at_zero, 64, 16, Tolerance(), orders)
+    assert g_fourier_coeffs(0.8, FARIMA11_DRIVER, 64).values.tobytes() == want.tobytes()
+    spec = FracDiff(HurstParam(0.8), Arma((0.9,), ()))
+    density, at_zero, orders = _gap_case(spec)
+    gap, _ = _fresh_grid_coeffs(density, at_zero, 32, 12, Tolerance(), orders)
+    star = matched_fgn(spec)
+    want = covariance_engine._fgn_block(star.H.H, star.V, np.arange(33)) + gap
+    assert acvf_via_subtraction(spec, 32).values.tobytes() == want.tobytes()
 
 
 def _density_acvf(spec, n, dps=25, breakpoints=()):

@@ -18,6 +18,8 @@ from lrdlab.kernel_special import (
     HurstParam,
     Tolerance,
     _gamma_ratio,
+    _lattice_tail_bound,
+    _lattice_tail_coeffs,
     _trigamma,
     c_of_H,
     fgn_lattice_sum,
@@ -230,8 +232,48 @@ def test_lattice_sum_array_and_scalar_agree():
     arr = fgn_lattice_sum(xs, 0.8)
     assert isinstance(arr, np.ndarray) and arr.shape == xs.shape
     for xi, vi in zip(xs, arr):
-        assert fgn_lattice_sum(float(xi), 0.8) == pytest.approx(float(vi), rel=1e-15)
+        assert fgn_lattice_sum(float(xi), 0.8) == float(vi)
     assert isinstance(fgn_lattice_sum(0.25, 0.8), float)
+    # J = 16 here, where a one-point broadcast used to be summed pairwise.
+    tight = Tolerance(abs_tol=1e-14)
+    xs = np.linspace(0.01, 0.5, 50)
+    arr = fgn_lattice_sum(xs, 0.1, tight)
+    assert [fgn_lattice_sum(float(xi), 0.1, tight) for xi in xs] == arr.tolist()
+
+
+def _broadcast_lattice_sum(xa, h, tol):
+    # The lattice sum as one (J - 1) x n broadcast, summed over j by numpy
+    # and followed by the same tails; kept as the bit-for-bit reference.
+    s = 2.0 * h + 1.0
+    pref = (2.0 * math.pi) ** (-s)
+    J = 8
+    while pref * _lattice_tail_bound(float(J), s) > tol.abs_tol:
+        J *= 2
+    tail = _lattice_tail_coeffs(s)[5::-1]
+    j = np.arange(1, J, dtype=np.float64)[:, None]
+    core = np.abs(xa) ** (-s) + np.sum((j + xa) ** (-s) + (j - xa) ** (-s), axis=0)
+    for c in (xa, -xa):
+        base = J + c
+        u = 1.0 / (base * base)
+        poly = tail[0]
+        for a in tail[1:]:
+            poly = poly * u + a
+        core = core + base ** (-s) * (base / (s - 1.0) + 0.5 + poly / base)
+    return pref * core
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(abs_tol=1e-14)], ids=["default", "1e-14"])
+def test_lattice_sum_bit_identical_to_the_broadcast_sum(tol):
+    # Summing the pairs in place, in the same order, changes no bit.  numpy
+    # reduces a (J - 1) x n array over its rows one row at a time when
+    # n >= 2, so the reference runs on arrays of two points and more.
+    rng = np.random.default_rng(16)
+    for h in (0.02, 0.21, 0.5, 0.55, 0.8, 0.95, 1.0):
+        for n in (2, 7, 1000, 4097):
+            xs = rng.uniform(-0.5, 0.5, n)
+            xs[:2] = (0.5, -0.5)
+            got = fgn_lattice_sum(xs, h, tol)
+            assert got.tobytes() == _broadcast_lattice_sum(xs, h, tol).tobytes(), (h, n)
 
 
 def test_lattice_sum_domain_and_budget():
