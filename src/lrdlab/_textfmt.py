@@ -2,9 +2,10 @@
 
 ``g17``, ``shortest`` and ``decimal`` give, for each element, the ASCII
 bytes of ``'%.17g' % v``, ``repr(v)`` and ``'%d' % i`` as one 24-byte row of
-a uint8 matrix padded with NUL bytes.  ``join`` lays such matrices, text
-fields and literal separators side by side and returns the rows as one
-string, decoded straight from the compacted buffer.
+a uint8 matrix padded with NUL bytes.  ``cut`` drops the byte columns no
+row of such a matrix uses, and ``join`` lays matrices, text fields and
+literal separators side by side and returns the rows as one string,
+decoded straight from the compacted buffer.
 
 The conversions use integers only, after Gay (1990, "Correctly rounded
 binary-decimal and decimal-binary conversions") and Ryu (Adams 2018,
@@ -316,37 +317,48 @@ def decimal(a) -> np.ndarray:
     return _convert(_decimal_words, np.ascontiguousarray(a), lambda i: "%d" % i)
 
 
-def choose(options, which) -> tuple[np.ndarray, np.ndarray]:
-    """A text field holding options[which[i]] (bytes) in row i: (chars, keep)."""
-    width = max(map(len, options), default=0)
-    table = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in options), dtype=np.uint8)
-    kept = np.arange(width) < np.array([len(t) for t in options], dtype=np.intp)[:, None]
-    return table.reshape(len(options), width)[which], kept[which]
-
-
 def text(strings) -> tuple[np.ndarray, np.ndarray]:
     """A text field holding the UTF-8 bytes of each string: (chars, keep)."""
-    return choose([s.encode() for s in strings], np.arange(len(strings)))
+    encoded = [s.encode() for s in strings]
+    width = max(map(len, encoded), default=0)
+    chars = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in encoded), dtype=np.uint8)
+    keep = np.arange(width) < np.array([len(t) for t in encoded], dtype=np.intp)[:, None]
+    return chars.reshape(len(encoded), width), keep
+
+
+def cut(matrix) -> np.ndarray:
+    """A NUL-padded matrix from the conversions above, cut to the byte
+    columns some row uses.  Each word column is ORed on its own: numpy
+    reduces a strided column several times faster than axis 0 of the (n, 3)
+    word matrix."""
+    words = matrix.view("<u8")
+    used = np.array([np.bitwise_or.reduce(words[:, j]) for j in range(words.shape[1])], dtype="<u8")
+    used = np.flatnonzero(used.view(np.uint8))
+    return matrix[:, used[0] : used[-1] + 1] if used.size else matrix[:, :0]
 
 
 def join(parts) -> str:
     """Row i of every part laid side by side, rows one after another.
 
     A part is bytes repeated on every row, a (chars, keep) text field, or a
-    NUL-padded matrix from the conversions above.
+    NUL-padded matrix from the conversions above.  The non-NUL bytes of
+    bytes and matrices are kept; a text field's keep says which of its bytes
+    are.
     """
     n = next(len(p if isinstance(p, np.ndarray) else p[0]) for p in parts if not isinstance(p, bytes))
-    chars, keep = [], []
+    chars, fields, width = [], [], 0
     for part in parts:
         if isinstance(part, bytes):
-            chars.append(np.broadcast_to(np.frombuffer(part, dtype=np.uint8), (n, len(part))))
-            keep.append(np.broadcast_to(True, (n, len(part))))
+            part = np.broadcast_to(np.frombuffer(part, dtype=np.uint8), (n, len(part)))
         elif isinstance(part, tuple):
-            chars.append(part[0])
-            keep.append(part[1])
+            fields.append((width, part))
+            part = part[0]
         else:
-            used = np.flatnonzero(part.any(axis=0))
-            part = part[:, used[0] : used[-1] + 1] if used.size else part[:, :0]
-            chars.append(part)
-            keep.append(part != 0)
-    return str(np.concatenate(chars, axis=1)[np.concatenate(keep, axis=1)].data, "utf-8")
+            part = cut(part)
+        chars.append(part)
+        width += part.shape[1]
+    chars = np.concatenate(chars, axis=1)
+    keep = chars != 0
+    for start, (c, k) in fields:
+        keep[:, start : start + c.shape[1]] = k
+    return str(chars[keep].data, "utf-8")

@@ -541,7 +541,7 @@ def closeness_report(
     probes = tuple(sorted(set(_int_grid(n_probe, "n_probe"))))
     lv = _int_grid(slope_levels, "slope_levels")
     grid = (
-        tuple(np.unique(np.round(np.geomspace(1.0, 10_000.0, 61)).astype(int)))
+        tuple(sorted(set(np.round(np.geomspace(1.0, 10_000.0, 61)).astype(int).tolist())))
         if acvf_grid is None
         else tuple(sorted(set(_int_grid(acvf_grid, "acvf_grid", minimum=0))))
     )

@@ -17,7 +17,6 @@ import dataclasses
 import json
 import re
 import sys
-from collections.abc import Sequence
 from itertools import chain
 from pathlib import Path
 
@@ -129,29 +128,28 @@ def _csv_chunks(header, columns):
 
 
 def _json_array(arr: np.ndarray, level: int):
-    # A finite 1-D or 2-D numeric array, formatted a chunk at a time: floats
-    # as their repr (the shortest text json writes), ints as %d; anything
-    # else goes item by item.
+    # A finite 1-D or 2-D numeric array, formatted a chunk of whole rows at a
+    # time: floats as their repr (the shortest text json writes), ints as %d,
+    # each column followed by its constant separator; anything else goes item
+    # by item.
     if not (arr.ndim in (1, 2) and arr.size and arr.dtype.kind in "fiu" and np.isfinite(arr).all()):
         yield from _json_chunks(arr.tolist(), level)
         return
     pad1, pad2 = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     if arr.ndim == 1:
-        width, seps = 1, [("," + pad1).encode()] * 2
+        seps = [("," + pad1).encode()]
         opening, closing = "[" + pad1, "\n" + "  " * level + "]"
     else:
-        width = arr.shape[1]
-        seps = [("," + pad2).encode(), (pad1 + "]," + pad1 + "[" + pad2).encode()]
+        seps = [("," + pad2).encode()] * (arr.shape[1] - 1) + [(pad1 + "]," + pad1 + "[" + pad2).encode()]
         opening, closing = "[" + pad1 + "[" + pad2, pad1 + "]\n" + "  " * level + "]"
     convert = _textfmt.shortest if arr.dtype.kind == "f" else _textfmt.decimal
-    flat = arr.ravel()
+    table = arr.reshape(len(arr), len(seps))
+    step = max(1, _CHUNK // len(seps))
     yield opening
-    for start in range(0, flat.size, _CHUNK):
-        stop = min(flat.size, start + _CHUNK)
-        which = (np.arange(start, stop) % width == width - 1).astype(np.intp)
-        if stop == flat.size:
-            which[-1] = 2  # nothing after the last item
-        yield _textfmt.join([convert(flat[start:stop]), _textfmt.choose(seps + [b""], which)])
+    for start in range(0, len(table), step):
+        cells = convert(table[start : start + step].ravel()).reshape(-1, len(seps), 24)
+        text = _textfmt.join([part for j, sep in enumerate(seps) for part in (cells[:, j], sep)])
+        yield text if start + step < len(table) else text[: -len(seps[-1])]
     yield closing
 
 
@@ -186,9 +184,12 @@ def _emit(args, header, columns, json_obj=None) -> None:
         if json_obj is None:
             rows = np.column_stack([np.asarray(c, dtype=np.float64) for c in columns])
             json_obj = {"columns": list(header), "rows": rows}
-        chunks = chain(_json_chunks(json_obj), ["\n"])
+        _write(args, chain(_json_chunks(json_obj), ["\n"]))
     else:
-        chunks = _csv_chunks(header, columns)
+        _write(args, _csv_chunks(header, columns))
+
+
+def _write(args, chunks) -> None:
     if args.out:
         with open(args.out, "w") as fh:
             fh.writelines(chunks)
@@ -336,46 +337,21 @@ def cmd_sample(args) -> None:
         }
         _emit(args, (), None, json_obj=json_obj)
     else:
-        _emit(args, ("path", "t", "value"), _path_major_columns([p.values for p in paths]))
+        _write(args, _sample_csv([p.values for p in paths]))
 
 
-class _LazyColumn(Sequence):
-    """A numeric column of ``length`` rows; ``rows(start, stop)`` gives the
-    array of rows start..stop-1, so a slice costs only its own size."""
-
-    def __init__(self, length: int, rows):
-        self._length, self._rows = length, rows
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            rows = range(self._length)[index]
-            if rows.step == 1 and rows:
-                return self._rows(rows.start, rows.stop)
-            return np.array([self[i] for i in rows])
-        i = range(self._length)[index]
-        return self._rows(i, i + 1)[0]
-
-
-def _path_major_columns(values):
-    """path, t and value columns of equal-length paths, one row per value,
-    without building any whole-batch array."""
+def _sample_csv(values):
+    """CSV text of equal-length paths, path by path.  The t column's text is
+    formatted once and shared; each call writes _CHUNK // 3 rows of a path."""
     n = len(values[0])
-
-    def value_rows(start, stop):
-        first = start // n
-        return np.concatenate(
-            [v[max(start - i * n, 0) : stop - i * n] for i, v in enumerate(values[first : -(-stop // n)], first)]
-        )
-
-    total = n * len(values)
-    return (
-        _LazyColumn(total, lambda start, stop: np.arange(start, stop) // n),
-        _LazyColumn(total, lambda start, stop: np.arange(start, stop) % n),
-        _LazyColumn(total, value_rows),
-    )
+    t_text = _textfmt.cut(_textfmt.decimal(np.arange(n))).copy()  # not a view pinning 24 B a row
+    step = max(1, _CHUNK // 3)
+    yield "path,t,value\n"
+    for i, v in enumerate(values):
+        label = b"%d," % i
+        for start in range(0, n, step):
+            t = t_text[start : start + step]
+            yield _textfmt.join([label, (t, t != 0), b",", _textfmt.g17(v[start : start + step]), b"\n"])
 
 
 def _add_common(sub, *, spec_required=True, nmax_default=None, format_default="csv"):

@@ -88,6 +88,20 @@ def old_text(fmt, header, columns, json_obj=None):
     return old_emit(fmt, header, rows, None if json_obj is None else plain(json_obj))
 
 
+def old_sample_text(fmt, seed, paths):
+    """What the row-wise emitter wrote for `sample` over these paths."""
+    if fmt == "csv":
+        rows = [(i, t, v) for i, p in enumerate(paths) for t, v in enumerate(p.values.tolist())]
+        return old_emit(fmt, ("path", "t", "value"), rows)
+    obj = {
+        "seed": seed,
+        "n": paths[0].n,
+        "path_seeds": [p.seed for p in paths],
+        "paths": [p.values.tolist() for p in paths],
+    }
+    return old_emit(fmt, (), None, obj)
+
+
 class TestSpectrumCommand:
     def test_white_grid_is_constant_one(self, tmp_path, capsys):
         rc, out, _ = run(["spectrum", "--spec", write_spec(tmp_path, WHITE), "--points", "20"], capsys)
@@ -414,8 +428,9 @@ class TestSampleCommand:
         assert got.tobytes() == want.tobytes()
 
     def test_csv_holds_the_paths_and_one_chunk(self, tmp_path, monkeypatch):
-        # The path, t and value columns are derived a chunk at a time, so
-        # writing a batch allocates little beyond the paths themselves.
+        # The rows are written a chunk of one path at a time over one shared
+        # text of the t column, so writing a batch allocates little beyond
+        # the paths themselves.
         n, count = 2**13, 32
         stored = sample_many(spec_from_json(WHITE), n, 11, count)
         monkeypatch.setattr(
@@ -438,8 +453,9 @@ class TestSampleCommand:
 
     def test_json_holds_the_paths_and_one_chunk(self, tmp_path, monkeypatch):
         # The paths are written one array at a time, with no stacked copy of
-        # the batch.  The shortest-repr kernel keeps more temporaries per
-        # value than %.17g, hence the larger per-chunk allowance.
+        # the batch, and the separators are broadcast, not built per value.
+        # The shortest-repr kernel keeps more temporaries per value than
+        # %.17g, hence the larger per-chunk allowance.
         n, count = 2**13, 32
         stored = sample_many(spec_from_json(WHITE), n, 11, count)
         monkeypatch.setattr(
@@ -459,6 +475,28 @@ class TestSampleCommand:
         obj = json.loads((tmp_path / "batch.json").read_text())
         assert obj["path_seeds"] == [p.seed for p in stored]
         assert np.array_equal(obj["paths"], [p.values for p in stored])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "chunk",
+        [pytest.param(lambda n, c=c: c, id=str(c)) for c in (1, 2, 7, cli._CHUNK)]
+        + [pytest.param(lambda n, d=d: 3 * n + d, id=f"3N{d:+d}") for d in (-1, 0, 1)],
+    )
+    @pytest.mark.parametrize("n", [2, 100], ids=lambda n: f"N{n}")
+    @pytest.mark.parametrize("count", [1, 3], ids=lambda c: f"paths{c}")
+    def test_text_matches_the_row_wise_emitter(self, tmp_path, capsys, monkeypatch, count, n, chunk, fmt):
+        # Chunks of one row, of part of a path, of exactly one path and of
+        # more than one path all write the same bytes.
+        monkeypatch.setattr(cli, "_CHUNK", chunk(n))
+        spec, seed = spec_from_json(FGN08), 2024
+        rc, out, _ = run(
+            ["sample", "--spec", write_spec(tmp_path, FGN08), "--nmax", str(n), "--seed", str(seed),
+             "--paths", str(count), "--format", fmt],
+            capsys,
+        )
+        assert rc == 0
+        paths = [sample(spec, n, seed)] if count == 1 else sample_many(spec, n, seed, count)
+        assert out == old_sample_text(fmt, seed, paths)
 
     def test_oversized_seed_rejected(self, tmp_path, capsys):
         rc, _, err = run(
@@ -534,15 +572,26 @@ class TestEmissionMatchesTheOldEmitter:
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        calls = []
+        """The _emit calls and the sample paths drawn by one command."""
+        calls, drawn = [], []
         real = cli._emit
 
         def record(args, header, columns, json_obj=None):
             calls.append((args.format, header, columns, json_obj))
             real(args, header, columns, json_obj)
 
+        def keep(draw):
+            def kept(*args, **kwargs):
+                paths = draw(*args, **kwargs)
+                drawn.extend(paths if isinstance(paths, list) else [paths])
+                return paths
+
+            return kept
+
         monkeypatch.setattr(cli, "_emit", record)
-        return calls
+        monkeypatch.setattr(cli, "sample", keep(cli.sample))
+        monkeypatch.setattr(cli, "sample_many", keep(cli.sample_many))
+        return calls, drawn
 
     @pytest.mark.parametrize("chunk", [7, cli._CHUNK])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -555,9 +604,28 @@ class TestEmissionMatchesTheOldEmitter:
         ]
         rc, out, _ = run(argv + ["--format", fmt], capsys)
         assert rc == 0
-        (used, header, columns, json_obj), = recorded
+        calls, drawn = recorded
+        if command.startswith("sample"):
+            # sample writes its CSV path by path, not through _emit: its
+            # reference rows are rebuilt from the paths it drew.
+            seed = cli._parse_seed(argv[argv.index("--seed") + 1])
+            assert out == old_sample_text(fmt, seed, drawn)
+            return
+        (used, header, columns, json_obj), = calls
         assert used == fmt
         assert out == old_text(fmt, header, columns, json_obj)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_json_rows_split_into_whole_rows(self, capsys, monkeypatch, width, chunk):
+        # A chunk narrower than a row still holds one whole row; wider ones
+        # hold as many whole rows as fit.
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        values = [0.1, -2.5e-300, 1e22, -0.0, 1 / 3, 7.0, 2.0**-1074, 123456789.0]
+        header = tuple(f"c{j}" for j in range(width))
+        columns = tuple(np.array(values[j:] + values[:j]) for j in range(width - 1)) + (np.arange(8),)
+        cli._emit(argparse.Namespace(format="json", out=None), header, columns)
+        assert capsys.readouterr().out == old_text("json", header, columns)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, cli._CHUNK])
     def test_edge_cells(self, tmp_path, capsys, monkeypatch, chunk):
@@ -593,11 +661,25 @@ class TestEmissionMatchesTheOldEmitter:
         assert out_path.read_text() == old_text("json", (), None, obj)
 
 
+def fresh_stdout(code):
+    """Standard output of code run in a fresh interpreter on this lrdlab."""
+    src = str(Path(lrdlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency: importing the package and its CLI
     # in a fresh interpreter must not load any scipy module.
-    src = str(Path(lrdlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = "import sys, lrdlab, lrdlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert fresh_stdout(code).strip() == "[]"
+
+
+def test_closeness_report_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on first use, which a fresh `lrdlab
+    # closeness` process would pay for; the default lag grid avoids it.
+    code = (
+        "import sys; from lrdlab import FracDiff, closeness_report; "
+        "closeness_report(FracDiff(0.8)); print('numpy.ma' in sys.modules)"
+    )
+    assert fresh_stdout(code).strip() == "False"
