@@ -87,7 +87,9 @@ class OffsetEvidence:
     and ``rate_coefficient`` come from a least-squares fit of
     offset(n) = D + c n^(2H-2) over the probes, which removes the leading
     transient that the raw endpoint value still carries.  ``D_exact`` is
-    the exact limit of omega(n) - V n^(2H) (:attr:`VtfView.D`).
+    the exact limit of omega(n) - V n^(2H) (:attr:`VtfView.D`).  The two
+    closed-form candidates are 0 for fGn and None for a Sum, which has
+    none.
     """
 
     probes: tuple[int, ...]
@@ -97,17 +99,22 @@ class OffsetEvidence:
     D_exact: float
     limit_fitted: float
     rate_coefficient: float
-    D_formula_signed: float
-    D_formula_abs: float
+    D_formula_signed: float | None
+    D_formula_abs: float | None
 
 
-def _offset_closed_forms(spec: ProcessSpec, v_star: float, tol: Tolerance) -> tuple[float, float]:
+def _offset_closed_forms(
+    spec: ProcessSpec, v_star: float, tol: Tolerance
+) -> tuple[float, float] | tuple[None, None]:
     # -2V sum_j j^(2H) G_j in signed and absolute-value variants.  The
     # summand decays like j^-2, so the truncated tail is accelerated with
     # the fitted j^-(2H+2) coefficient envelope: sum_{j>J} j^(2H) G_j
-    # ~ c_env psi'(J+1).
-    if not isinstance(spec, FracDiff):
+    # ~ c_env psi'(J+1).  fGn is its own fixed point (G = 0); a Sum has
+    # no such formula.
+    if isinstance(spec, Fgn):
         return 0.0, 0.0
+    if not isinstance(spec, FracDiff):
+        return None, None
     coeffs = g_fourier_coeffs(spec.H, spec.driver, J_max=_J_SUM, tol=tol)
     h2 = 2.0 * spec.H.H
     j = np.arange(1, coeffs.j_max + 1, dtype=np.float64)
@@ -471,16 +478,17 @@ class ClosenessReport:
     ``D_hat`` is the offset at the largest probe, ``D_exact`` its exact
     limit.  ``matched_candidate`` names which closed-form candidate for the
     limit agrees with D_exact within 1e-4 relative ("signed", "absolute",
-    "both" or "neither", which an infinite D_exact always gets).  ``curves`` holds the labelled (abscissa, value)
-    series behind the scalar summaries.
+    "both" or "neither", which an infinite D_exact and a Sum, whose
+    candidates are None, always get).  ``curves`` holds the labelled
+    (abscissa, value) series behind the scalar summaries.
     """
 
     spec: ProcessSpec
     fixed_point: Fgn
     D_hat: float
     D_exact: float
-    D_formula_signed: float
-    D_formula_abs: float
+    D_formula_signed: float | None
+    D_formula_abs: float | None
     beta_hat: float
     slope_hat: float
     matched_candidate: str
@@ -504,8 +512,8 @@ class ClosenessReport:
         raise CoverageError(f"no curve labelled {label!r}")
 
 
-def _candidate_name(limit: float, signed: float, absolute: float, scale: float) -> str:
-    if not math.isfinite(limit):
+def _candidate_name(limit: float, signed: float | None, absolute: float | None, scale: float) -> str:
+    if signed is None or absolute is None or not math.isfinite(limit):
         return "neither"
     tol = max(_REL_MATCH * abs(limit), 1e-8 * scale)
     matches_signed = abs(signed - limit) <= tol

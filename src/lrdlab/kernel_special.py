@@ -35,8 +35,10 @@ class Tolerance:
     ``abs_tol`` is the absolute error target that sizes the adaptive loops
     (lattice-sum tails, FFT grids).  ``rel_tol`` steers no loop: it is the
     relative accuracy the results promise, which the tests check.
-    ``max_terms`` caps the work; exceeding it raises :class:`ConvergenceError`
-    rather than returning a silently degraded value.
+    ``max_terms`` caps the work (lattice-sum terms, FFT-grid points and
+    the sampler's padded embedding size); exceeding it raises
+    :class:`ConvergenceError` rather than returning a silently degraded
+    value.
     """
 
     abs_tol: float = 1e-12

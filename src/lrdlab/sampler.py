@@ -2,9 +2,11 @@
 
 The Toeplitz covariance of lags 0..N-1 embeds in a circulant matrix of
 any even size m >= 2(N-1) (Davies & Harte 1987; Dietrich & Newsam 1997)
-whose eigenvalues are the FFT of its first row; m is the smallest even
-5-smooth size, so the FFTs stay fast.  A draw is one inverse FFT of
-independent complex normals weighted by the eigenvalue square roots.
+whose eigenvalues are the FFT of its first row; m starts at the smallest
+even 5-smooth size, so the FFTs stay fast, and doubles until no
+eigenvalue is negative beyond the FFT's rounding bound.  A draw is one
+inverse FFT of independent complex normals weighted by the eigenvalue
+square roots, so every path returned has exactly the spec's covariance.
 The generator is counter-based, so identical (spec, seed, N) reproduce
 bit-for-bit and batch seeds expand deterministically into per-path
 seeds.
@@ -12,7 +14,6 @@ seeds.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -25,16 +26,7 @@ from .process_model import ProcessSpec
 
 __all__ = ["SamplePath", "sample", "sample_many", "empirical_acvf"]
 
-_LOG = logging.getLogger(__name__)
-
 _SEED_BOUND = 2**64
-
-# Eigenvalues at or above -NEGLIGIBLE * max are rounded up silently;
-# padding retries trigger below that, and anything still below
-# -SEVERE * max afterwards is an error rather than a silent clip.
-_NEGLIGIBLE = 1e-10
-_SEVERE = 1e-4
-_MAX_RETRIES = 3
 
 # Largest circulant embedding, and largest batch of path values, in
 # points: each array of that length takes 2 GiB.
@@ -93,33 +85,24 @@ def _embedding_size(n: int) -> int:
 
 def _embedding(spec: ProcessSpec, N: int, tol: Tolerance) -> tuple[np.ndarray, int]:
     # Eigenvalues of the circulant embedding of N >= 2 points, each size's
-    # first row built once from gamma(0..m/2), padding to powers of two
-    # while the spectrum has meaningfully negative entries.
+    # first row built once from gamma(0..m/2), doubling m until no
+    # eigenvalue lies below -eps log2(m) sum|row|, the a priori rounding
+    # bound of the FFT; the rounding-level negatives left are set to 0.
     m = _embedding_size(N)
-    attempt = 0
+    budget = min(_MAX_EMBEDDING, tol.max_terms)
     while True:
         half = acvf(spec, m // 2, tol).values
-        lam = np.fft.rfft(np.concatenate((half, half[-2:0:-1]))).real
-        top = float(lam.max())
-        worst = float(lam.min())
-        if worst >= -_NEGLIGIBLE * top:
+        row = np.concatenate((half, half[-2:0:-1]))
+        lam = np.fft.rfft(row).real
+        if lam.min() >= -np.finfo(np.float64).eps * math.log2(m) * np.abs(row).sum():
             return np.maximum(lam, 0.0), m
-        if attempt < _MAX_RETRIES and 1 << m.bit_length() <= _MAX_EMBEDDING:
-            attempt += 1
-            m = 1 << m.bit_length()
-            continue
-        if worst < -_SEVERE * top:
+        if 1 << m.bit_length() > budget:
             raise ConvergenceError(
-                f"embedding spectrum stays negative (min {worst:.3e} against max "
-                f"{top:.3e}) after padding to {m}; a larger sample length may embed cleanly"
+                f"embedding spectrum negative at size {m} (min {lam.min():.3e} against max "
+                f"{lam.max():.3e}); doubling it would pass the budget of {budget} points "
+                f"(max_terms {tol.max_terms}, limit 2^28)"
             )
-        _LOG.warning(
-            "clipping negative embedding eigenvalues (min %.3e of max %.3e) at size %d",
-            worst,
-            top,
-            m,
-        )
-        return np.maximum(lam, 0.0), m
+        m = 1 << m.bit_length()
 
 
 def _draw(lam: np.ndarray, m: int, n: int, seed: int) -> np.ndarray:
@@ -139,12 +122,11 @@ def _draw(lam: np.ndarray, m: int, n: int, seed: int) -> np.ndarray:
 def sample(spec: ProcessSpec, N: int, seed, *, tol: Tolerance = Tolerance()) -> SamplePath:
     """Draw one zero-mean Gaussian path with covariance gamma(0..N-1).
 
-    The embedding uses the smallest even 5-smooth size m >= 2(N-1), at
-    most 2^28 (a larger N raises DomainError before any work); a spectrum
-    with negative entries beyond the rounding scale is padded to the next
-    power of two (up to three times, within the same limit), then mildly
-    negative leftovers are clipped with a logged warning and strongly
-    negative ones raise.
+    The embedding starts at the smallest even 5-smooth size m >= 2(N-1),
+    at most 2^28 (a larger N raises DomainError before any work).  While
+    its spectrum has entries below the FFT's rounding bound, m doubles;
+    a size that would pass 2^28 or ``tol.max_terms`` raises
+    ConvergenceError instead, so every path returned is exact.
     """
     n = _as_int(N, "N", 2)
     s = _check_seed(seed)

@@ -364,6 +364,24 @@ class TestClosenessReport:
         assert rep.D_exact == 0.0
         assert rep.matched_candidate == "both"
 
+    def test_sum_has_no_closed_form_candidates(self):
+        # D_exact is finite here, but no G-coefficient formula exists for a
+        # Sum: the candidates are None (JSON null), never an unevaluated 0.
+        spec = Sum(((FARIMA03, 1.0), (Fgn(HurstParam(0.8), 1.0), 0.5)))
+        rep = closeness_report(
+            spec,
+            n_probe=(200, 400, 800),
+            slope_levels=tuple(2**k for k in range(9)),
+            acvf_grid=range(0, 501, 25),
+            x_grid=np.geomspace(1e-3, 0.5, 9),
+        )
+        assert rep.D_exact == pytest.approx(D_SIGNED_ORACLE, rel=1e-12)
+        assert rep.D_formula_signed is None
+        assert rep.D_formula_abs is None
+        assert rep.matched_candidate == "neither"
+        back = json.loads(json.dumps(report_to_json(rep)))
+        assert back["D_formula_signed"] is None and back["D_formula_abs"] is None
+
     def test_g_coefficients_summed_once_per_report(self, monkeypatch):
         # Only the offset candidates read the G coefficients; the slope's
         # prediction comes from the exact D, and nothing is memoised.

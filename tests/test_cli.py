@@ -266,6 +266,8 @@ class TestClosenessCommand:
         assert rc == 0
         rep = json.loads(out)
         assert rep["D_exact"] == pytest.approx(d_exact, rel=1e-12)
+        assert rep["D_formula_signed"] is None and rep["D_formula_abs"] is None
+        assert '"D_formula_signed": null' in out
         assert rep["matched_candidate"] == "neither"
 
 
@@ -379,6 +381,15 @@ class TestSampleCommand:
         assert header == ["path", "t", "value"]
         assert len(rows) == 24
         assert {r[0] for r in rows} == {"0", "1", "2"}
+
+    def test_short_path_of_a_near_unit_root_driver(self, tmp_path, capsys):
+        # The embedding pads from 4 to 2048 points rather than raising.
+        spec = {"type": "fracdiff", "H": 0.8, "driver": {"type": "arma", "ar": [0.99], "ma": [], "sigma2": 1.0}}
+        rc, out, _ = run(["sample", "--spec", write_spec(tmp_path, spec), "--nmax", "3", "--seed", "1"], capsys)
+        header, rows = parse_csv(out)
+        assert rc == 0
+        assert header == ["path", "t", "value"]
+        assert [r[:2] for r in rows] == [["0", "0"], ["0", "1"], ["0", "2"]]
 
     def test_length_one_rejected(self, tmp_path, capsys):
         rc, _, err = run(

@@ -6,15 +6,22 @@ import numpy as np
 import pytest
 
 from lrdlab.covariance_engine import acvf
-from lrdlab.errors import DomainError
+from lrdlab.errors import ConvergenceError, DomainError
 from lrdlab.kernel_special import HurstParam, Tolerance
-from lrdlab.process_model import Fgn, FracDiff, WhiteNoise
+from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, WhiteNoise
 from lrdlab import sampler
 from lrdlab.sampler import SamplePath, _embedding, _embedding_size, empirical_acvf, sample, sample_many
 
 WHITE = Fgn(HurstParam(0.5), 1.0)
 FGN08 = Fgn(HurstParam(0.8), 1.0)
 FGN08_GAMMA1 = 0.5157165665103982  # (2**1.6 - 2) / 2
+
+# Short-memory drivers strong enough that short paths only embed after
+# padding past 2(N-1).
+AR099 = FracDiff(HurstParam(0.8), Arma((0.99,), ()))
+AR0995 = FracDiff(HurstParam(0.8), Arma((0.995,), ()))
+AR2 = FracDiff(HurstParam(0.8), Arma((1.6, -0.9), ()))
+FEXP3 = FracDiff(HurstParam(0.8), Fexp((3.0, -2.0, 1.0)))
 
 
 class TestSampleBasics:
@@ -101,6 +108,43 @@ class TestEmbedding:
         calls.clear()
         sample_many(FGN08, 1000, 3, 2)
         assert calls == [(FGN08, 1000)]
+        # N = 5 starts at m = 8 and pads to 256: one table per size.
+        calls.clear()
+        sample(AR2, 5, 3)
+        assert calls == [(AR2, m // 2) for m in (8, 16, 32, 64, 128, 256)]
+
+
+class TestPadding:
+    @pytest.mark.parametrize("spec", [AR099, AR2, FEXP3], ids=["ar0.99", "ar2", "fexp3"])
+    @pytest.mark.parametrize("n", [3, 5, 17, 100])
+    def test_short_paths_carry_the_exact_covariance(self, spec, n):
+        lam, m = _embedding(spec, n, Tolerance())
+        exact = acvf(spec, n - 1).values
+        row = np.fft.irfft(lam, n=m)[:n]
+        assert np.max(np.abs(row - exact)) <= 1e-14 * exact[0]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Fgn(HurstParam(h), 1.0) for h in (0.3, 0.55, 0.8, 0.95)]
+        + [FracDiff(HurstParam(0.5 + d), WhiteNoise(1.0)) for d in (-0.4, 0.1, 0.45)],
+        ids=["fgn0.3", "fgn0.55", "fgn0.8", "fgn0.95", "d-0.4", "d0.1", "d0.45"],
+    )
+    def test_fgn_and_farima_never_pad(self, spec):
+        # Their minimal embeddings are non-negative (Dietrich & Newsam 1997;
+        # Craigmile 2003).
+        for n in (2, 3, 5, 17, 100, 257, 1000, 4097, 5000):
+            assert _embedding(spec, n, Tolerance())[1] == _embedding_size(n), n
+
+    @pytest.mark.parametrize("spec, n, m", [(AR099, 300, 2048), (AR0995, 300, 4096), (AR0995, 1000, 4096)])
+    def test_padded_sizes_are_pinned(self, spec, n, m):
+        assert _embedding(spec, n, Tolerance())[1] == m
+
+    def test_padding_budget_is_named(self, monkeypatch):
+        # Tables at the default budget, so only the padding meets max_terms:
+        # AR(0.99) at N = 3 needs m = 2048, and 64 is the last size allowed.
+        monkeypatch.setattr(sampler, "acvf", lambda spec, n_max, tol: acvf(spec, n_max))
+        with pytest.raises(ConvergenceError, match=r"size 64 .*max_terms 64"):
+            sample(AR099, 3, 1, tol=Tolerance(max_terms=64))
 
 
 class TestSizeGuard:
