@@ -8,8 +8,8 @@ components.  Two independent cross-checks stay available by name:
 :func:`acvf_via_subtraction` adds the Fourier coefficients of the density
 minus its matched fGn, and :func:`acvf_via_convolution` convolves the fGn
 autocovariance with the Fourier coefficients G_j of g = f / f*.  One
-periodic FFT-grid loop yields every Fourier coefficient here: driver
-autocovariances, G_j and the density gap's.
+periodic FFT-grid loop yields G_j and the density gap's coefficients; the
+driver autocovariance is read off one grid stopped by its truncation rule.
 """
 
 from __future__ import annotations
@@ -274,32 +274,33 @@ class AcvfTable:
 
 
 def _driver_acvf(driver: ShortMemorySpec, tol: Tolerance) -> np.ndarray:
-    """Driver autocovariances gamma_h(0..K), read off the FFT grid.
+    """Driver autocovariances gamma_h(0..K), read off one FFT grid.
 
-    Dropping the lags beyond K moves each convolved lag by at most
-    gamma_F(0) * 2 sum_{k>K} |gamma_h(k)|, since |gamma_F(m)| <= gamma_F(0).
-    K is the first lag at which that bound is below (2K+1) eps gamma_F(0)
-    sum_k |gamma_h(k)|, the a priori rounding bound of the convolution's
-    2K+1 terms, so the truncation stays below the convolution's own rounding
-    floor (gamma_F(0) cancels).  ARMA and FEXP autocovariances decay
-    geometrically: once K lies in the lower half of the resolved lags, the
-    lags beyond them carry less still.  Grid points count against
-    tol.max_terms and _GRID_CAP.
+    The trapezoid rule on an n-point grid gives c_k = sum_j gamma_h(k + jn),
+    the autocovariance aliased by whole multiples of n.  Dropping the lags
+    beyond K moves each convolved lag by at most gamma_F(0) * 2 sum_{k>K}
+    |gamma_h(k)|, since |gamma_F(m)| <= gamma_F(0).  K is the first lag at
+    which that bound is below (2K+1) eps gamma_F(0) sum_k |gamma_h(k)|, the
+    a priori rounding bound of the convolution's 2K+1 terms, so the
+    truncation stays below the convolution's own rounding floor (gamma_F(0)
+    cancels).  ARMA and FEXP autocovariances decay at least geometrically, so
+    once K lies below n/4 the aliases, at lags beyond 3n/4, carry less still
+    and the grid is accepted; otherwise n doubles from 256.  The test is
+    relative, so a driver's scale does not decide it.  Grid sizes count
+    against tol.max_terms and _GRID_CAP.
     """
     if isinstance(driver, WhiteNoise):
         return np.array([driver.variance])
-
-    def density(x: np.ndarray) -> np.ndarray:
-        return driver_density(driver, x)
-
-    h0, hi = driver_density(driver, 0.0), 64
-    while True:
-        gh = _periodic_coeffs(density, h0, hi, 12, tol, "driver autocovariance")
+    n, top, residual = 256, min(_GRID_CAP, tol.max_terms), "no grid was evaluated"
+    while n <= top:
+        gh = np.fft.irfft(driver_density(driver, np.arange(n // 2 + 1) / n), n)[: n // 2]
         dropped = 2.0 * np.cumsum(np.abs(gh[:0:-1]))[::-1]  # dropped[k] = 2 sum_{j>k} |gamma_h(j)|
-        floor = (2 * np.arange(hi) + 1) * np.finfo(np.float64).eps * (abs(gh[0]) + dropped[0])
-        if dropped[hi // 2] <= floor[hi // 2]:  # dropped falls and floor grows with k
+        floor = (2 * np.arange(n // 2 - 1) + 1) * np.finfo(np.float64).eps * (abs(gh[0]) + dropped[0])
+        if dropped[n // 4] <= floor[n // 4]:  # dropped falls and floor grows with k
             return gh[: int(np.argmax(dropped <= floor)) + 1]
-        hi *= 2
+        residual = f"the {n}-point grid left {dropped[n // 4]:.3g} beyond lag {n // 4} against {floor[n // 4]:.3g}"
+        n *= 2
+    raise ConvergenceError(f"driver autocovariance not resolved within {top} grid points: {residual}")
 
 
 def _route_values(spec: ProcessSpec, n_max: int, tol: Tolerance) -> tuple[Route, np.ndarray]:
@@ -368,8 +369,8 @@ def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Toleran
 
     gamma(n) = gamma*(n) + the Fourier coefficients of phi = f - f*, with f*
     the matched fGn density.  phi is bounded, with cusps at x = 0, so its
-    coefficients are read off the same FFT grid as every other periodic
-    density, one Richardson step per cusp order.  Exists as an independent
+    coefficients are read off the same FFT-grid loop as the G coefficients,
+    one Richardson step per cusp order.  Exists as an independent
     cross-check of :func:`acvf`; a weaker long-memory component makes phi
     unbounded and raises :class:`DomainError` naming it, before any grid.
     """

@@ -20,7 +20,7 @@ import numpy as np
 from .covariance_engine import _DIRECT_CUTOFF, _driver_acvf, _fgn_block
 from .errors import DomainError
 from .kernel_special import _BERNOULLI, Tolerance, _as_int, _gamma_ratio
-from .process_model import Fgn, FracDiff, ProcessSpec, Sum
+from .process_model import Fgn, FracDiff, ProcessSpec, Sum, driver_density
 
 __all__ = [
     "VtfView",
@@ -144,7 +144,7 @@ class VtfView:
             # sum_{|k|<=K} gamma_h(k) omega_F(|n+k|) - C, C = sum_k gamma_h(k) omega_F(|k|).
             unit, gh = self._unit, self._gh = _Farima00(spec.H.d), _driver_acvf(spec.driver, tol)
             self._c = 2.0 * math.fsum(gh[1:] * unit.values(np.arange(1, len(gh)), False))
-            h0 = float(gh[0] + 2.0 * np.sum(gh[1:]))  # sum over |k| <= K
+            h0 = driver_density(spec.driver, 0.0)  # exact, not the truncated sum of gh
             self.H, self.V, self.D = spec.H, h0 * unit.V, h0 * unit.D - self._c
         elif isinstance(spec, Sum):
             self.components = tuple(VtfView(comp, tol) for comp, _ in spec.components)

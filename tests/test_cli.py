@@ -552,6 +552,15 @@ class TestExitCodes:
         assert rc == 3
         assert "lag 12" in err
 
+    def test_large_innovation_variance_exits_zero(self, tmp_path, capsys):
+        # The driver grid's stopping test is relative, so a driver's scale
+        # alone cannot exhaust the grid budget.
+        driver = {"type": "arma", "ar": [0.3], "ma": [0.7], "sigma2": 1e6}
+        spec = write_spec(tmp_path, {"type": "fracdiff", "H": 0.8, "driver": driver})
+        rc, out, err = run(["acvf", "--spec", spec, "--nmax", "10"], capsys)
+        assert (rc, err) == (0, "")
+        assert len(parse_csv(out)[1]) == 11
+
     def test_negative_tolerance_rejected(self, tmp_path, capsys):
         rc, _, err = run(
             ["acvf", "--spec", write_spec(tmp_path, FGN08), "--tol=-1e-9"], capsys

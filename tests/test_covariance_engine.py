@@ -405,12 +405,74 @@ def test_near_unit_root_driver_against_exact_sum():
 
 
 def test_driver_grid_cap_is_named():
+    # The driver convolution resolves AR(0.999); the density-gap
+    # cross-check stops on an absolute Cauchy test, which it does not
+    # meet before the cap.
     residual = (
         rf"exceeded {_GRID_CAP} points: the {_GRID_CAP}-point grid moved "
         r"coefficients by \S+ against abs_tol 1e-12"
     )
     with pytest.raises(ConvergenceError, match=residual):
-        acvf(FracDiff(HurstParam(0.8), Arma((0.999,), ())), 10)
+        acvf_via_subtraction(FracDiff(HurstParam(0.8), Arma((0.999,), ())), 10)
+
+
+def test_driver_autocovariance_scales_with_the_driver():
+    # The driver grid stops on a relative test, so scaling the innovation
+    # variance by 1e6 scales the table and nothing else.
+    unit = acvf(FracDiff(HurstParam(0.8), Arma((0.3,), (0.7,))), 200).values
+    big = acvf(FracDiff(HurstParam(0.8), Arma((0.3,), (0.7,), 1e6)), 200).values
+    np.testing.assert_allclose(big, 1e6 * unit, rtol=1e-15, atol=0.0)
+
+
+def _fexp_acvf_oracle(theta, k_top, terms=400):
+    # h = |a(e^(2 pi i x))|^2 with a(z) = exp(sum_j theta_j z^j / 2), whose
+    # Wold weights obey k a_k = sum_j j theta_j a_(k-j) / 2, and
+    # gamma_h(k) = sum_m a_m a_(m+k).
+    with mpmath.workdps(40):
+        a = [mpmath.mpf(1)]
+        for k in range(1, terms):
+            a.append(mpmath.fsum(j * mpmath.mpf(t) * a[k - j] for j, t in enumerate(theta, 1) if j <= k) / (2 * k))
+        return np.array([float(mpmath.fsum(a[m] * a[m + k] for m in range(terms - k))) for k in range(k_top + 1)])
+
+
+@pytest.mark.parametrize("theta", [(20.0,), (10.0, -10.0, 10.0)])
+def test_wide_fexp_driver_against_wold_weights(theta):
+    # Densities spanning e^(+-20) resolve on one grid; every kept lag is
+    # within 1e-15 gamma_h(0) of the 40-digit Wold-weight sum.
+    gh = covariance_engine._driver_acvf(Fexp(theta), Tolerance())
+    want = _fexp_acvf_oracle(theta, len(gh) - 1)
+    assert np.max(np.abs(gh - want)) <= 1e-15 * want[0]
+
+
+def test_near_unit_root_driver_autocovariance_against_closed_form():
+    # AR(1) with phi = 0.999: gamma_h(k) = phi^k / (1 - phi^2).  The polyval
+    # cancellation of the density near x = 0 leaves about 1e-14 gamma_h(0).
+    phi = 0.999
+    gh = covariance_engine._driver_acvf(Arma((phi,), ()), Tolerance())
+    with mpmath.workdps(40):
+        p = mpmath.mpf(phi)
+        want = np.array([float(p**k / (1 - p * p)) for k in range(len(gh))])
+    assert np.max(np.abs(gh - want)) <= 2e-14 * want[0]
+
+
+def test_driver_grid_evaluates_each_size_once(monkeypatch):
+    # One grid per size from 256 up, nothing restarted: AR(0.99) needs
+    # K = 2732 and stops on the 16384-point grid.
+    asked = []
+    density = covariance_engine.driver_density
+
+    def counting(driver, x):
+        asked.append(np.size(x))
+        return density(driver, x)
+
+    monkeypatch.setattr(covariance_engine, "driver_density", counting)
+    covariance_engine._driver_acvf(Arma((0.99,), ()), Tolerance())
+    assert sum(asked) <= 32_768
+
+
+def test_driver_grid_counts_against_max_terms():
+    with pytest.raises(ConvergenceError, match="not resolved within 4096 grid points: the 4096-point grid left"):
+        acvf(FracDiff(HurstParam(0.8), Arma((0.99,), ())), 10, Tolerance(max_terms=4096))
 
 
 def test_subtraction_route_against_closed_form():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from helpers import f_alpha, ulp_error
 from lrdlab import cli
 from lrdlab import vtf_aggregation
-from lrdlab.asymptotics_lab import builtin_experiment, closeness_report, run_brittleness
+from lrdlab.asymptotics_lab import builtin_experiment, closeness_report, run_brittleness, vtf_offset
 from lrdlab.covariance_engine import _farima00_values, acvf
 from lrdlab.errors import DomainError
 from lrdlab.kernel_special import HurstParam
@@ -182,6 +182,26 @@ def test_arma_limit_offset_against_mpmath():
     assert v.V == pytest.approx(float(h0 * V_F), rel=1e-12)
     # The offset tends to D; its n^(2H-2) transient is down to 1e-9 at n = 1e12.
     assert v.offset(10**12) == pytest.approx(float(ARMA_LIMIT_OFFSET), rel=1e-5)
+
+
+@pytest.mark.parametrize("phi, theta", [(0.5, 0.3), (0.3, 0.7)])
+def test_closeness_offset_against_exchange_identity(phi, theta):
+    # omega(n) - omega*(n) adds (V - V*) n^(2H) to the view's offset, so V
+    # must carry the exact h(0): V 1e-14 relative off moves the offset by
+    # 1e-7 at n = 1e4.
+    spec = FracDiff(HurstParam(0.8), Arma((phi,), (theta,)))
+    n = 10_000
+    got, _ = vtf_offset(vtf(spec), (1_000, n))
+    with mp.workdps(40):
+        p, t = mp.mpf(phi), mp.mpf(theta)
+        _, _, omega_F = _mp_farima00(spec.H.d)
+        gamma0 = (1 + 2 * p * t + t * t) / (1 - p * p)
+        gamma1 = (1 + p * t) * (p + t) / (1 - p * p)  # then gamma_h(k) = phi^(k-1) gamma_h(1)
+        omega = gamma0 * omega_F(n) + mp.fsum(
+            gamma1 * p ** (k - 1) * (omega_F(n + k) + omega_F(n - k) - 2 * omega_F(k)) for k in range(1, 200)
+        )
+        want = omega - mp.mpf(matched_fgn(spec).V) * mp.mpf(n) ** (2 * mp.mpf(spec.H.H))
+    assert abs(got - float(want)) <= 1e-8
 
 
 @settings(max_examples=40, deadline=None)
