@@ -36,7 +36,7 @@ from .covariance_engine import _fgn_block, acvf
 from .errors import ConvergenceError, CoverageError, DomainError
 from .kernel_special import Tolerance, _as_int, _as_real
 from .process_model import spec_from_json, spec_to_json, spectrum
-from .sampler import sample, sample_many
+from .sampler import _MAX_EMBEDDING, sample, sample_many
 from .vtf_aggregation import VtfView, _lags, aggregate_ctf, aggregate_vtf
 
 def _read_json(path: str, what: str):
@@ -80,6 +80,13 @@ def _tolerance(args) -> Tolerance:
 
 def _positive_int(args, name: str, minimum: int = 1) -> int:
     return _as_int(getattr(args, name), f"--{name}", minimum)
+
+
+def _length(n: int, flag: str) -> int:
+    # An output column's length, refused beyond the sampler's array limit.
+    if n > _MAX_EMBEDDING:
+        raise DomainError(f"{flag} {n} is beyond the array limit 2^28 = {_MAX_EMBEDDING}")
+    return n
 
 
 def _fmt(value) -> str:
@@ -200,7 +207,7 @@ def _write(args, chunks) -> None:
 def cmd_spectrum(args) -> None:
     spec = _load_spec(args.spec)
     tol = _tolerance(args)
-    points = _positive_int(args, "points")
+    points = _length(_positive_int(args, "points"), "--points")
     if not (0 < args.xmin <= args.xmax <= 0.5):
         raise DomainError(
             f"need 0 < xmin <= xmax <= 0.5 (the grid avoids x = 0), got [{args.xmin}, {args.xmax}]"
@@ -217,9 +224,8 @@ def cmd_spectrum(args) -> None:
 def cmd_acvf(args) -> None:
     spec = _load_spec(args.spec)
     tol = _tolerance(args)
-    n_max = _positive_int(args, "nmax", 0)
-    m = _positive_int(args, "m")
-    ns = np.arange(n_max + 1)
+    n_max, m = _positive_int(args, "nmax", 0), _positive_int(args, "m")
+    ns = np.arange(_length(n_max, "--nmax") + 1)
     if m == 1:
         values = acvf(spec, n_max, tol).values
     else:
@@ -240,10 +246,9 @@ def cmd_acvf(args) -> None:
 def cmd_vtf(args) -> None:
     spec = _load_spec(args.spec)
     tol = _tolerance(args)
-    n_max = _positive_int(args, "nmax")
-    m = _positive_int(args, "m")
+    n_max, m = _positive_int(args, "nmax"), _positive_int(args, "m")
     _lags(n_max, m)  # the 2^53 guard, before any lag array is built
-    ns = np.arange(1, n_max + 1)
+    ns = np.arange(1, _length(n_max, "--nmax") + 1)
     values = aggregate_vtf(VtfView(spec, tol), m).omega(ns)
     _emit(args, ("n", "value"), (ns, values))
 
@@ -251,10 +256,9 @@ def cmd_vtf(args) -> None:
 def cmd_ctf(args) -> None:
     spec = _load_spec(args.spec)
     tol = _tolerance(args)
-    n_max = _positive_int(args, "nmax")
-    m = _positive_int(args, "m")
+    n_max, m = _positive_int(args, "nmax"), _positive_int(args, "m")
     _lags(n_max, m)  # the 2^53 guard, before any lag array is built
-    ns = np.arange(1, n_max + 1)
+    ns = np.arange(1, _length(n_max, "--nmax") + 1)
     values = aggregate_ctf(VtfView(spec, tol), m, ns)
     _emit(args, ("n", "value"), (ns, values))
 

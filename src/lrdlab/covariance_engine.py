@@ -14,7 +14,6 @@ driver autocovariance is read off one grid stopped by its truncation rule.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -123,12 +122,6 @@ def farima00_acvf(d: float, sigma2: float, n: int) -> float:
     return float(_farima00_values(d, sigma2, n)[n])
 
 
-def _inner_tol(tol: Tolerance) -> Tolerance:
-    # Spectrum evaluations inside an FFT grid get a tighter
-    # absolute target than the result they feed, and the caller's budget.
-    return dataclasses.replace(tol, abs_tol=min(tol.abs_tol, 1e-13))
-
-
 @dataclass(frozen=True)
 class GCoeffs:
     """Fourier coefficients of the density ratio g = f / f*.
@@ -160,34 +153,31 @@ class GCoeffs:
 
 
 def _periodic_coeffs(
-    density, at_zero: float, hi: int, min_log2: int, tol: Tolerance, what: str,
-    cusp_orders: tuple[float, ...] = (),
+    density, at_zero: float, hi: int, tol: Tolerance, what: str, cusp_orders: tuple[float, ...] = ()
 ):
     """Fourier coefficients 0..hi of an even, 1-periodic density.
 
     ``density(x)`` returns the density at points x in (0, 1/2] and
-    ``at_zero`` is its value (or limit) at x = 0.  The samples at k/N for
-    k = 0..N/2 are mirrored and read off an FFT (trapezoid quadrature is
-    exact for smooth periodic functions up to aliasing), and the grid
-    doubles until the requested coefficients move by at most tol.abs_tol.
-    Each doubling keeps the previous samples, which sit at the even k, and
-    evaluates the density only at the N/4 new odd k (nested trapezoid
-    refinement, Numerical Recipes 4.2), so a run that ends on an N-point
-    grid evaluates N/2 points in all, each once.  A cusp |x|^(p-1) at x = 0
-    leaves an aliasing error c N^(-p) (the generalised Euler-Maclaurin
-    expansion); each order p in ``cusp_orders`` is removed by one Richardson
-    step over successive grids, and the stopping test applies to the last
-    column.  Grid sizes count against tol.max_terms.
+    ``at_zero`` its value (or limit) at x = 0.  The samples at k/N,
+    k = 0..N/2, are mirrored and read off an FFT (trapezoid quadrature is
+    exact for smooth periodic functions up to aliasing); N starts at the
+    smallest power of two >= 8 (hi + 1) and doubles until the coefficients
+    move by at most max(tol.abs_tol, eps log2(N) mean|samples|): the FFT's
+    a priori rounding bound stops a density too large for abs_tol.  Each
+    doubling keeps the previous samples (the even k) and evaluates the
+    density only at the N/4 new odd k (nested trapezoid refinement,
+    Numerical Recipes 4.2), so a run ending on an N-point grid evaluates
+    N/2 points, each once.  A cusp |x|^(p-1) at x = 0 leaves an aliasing
+    error c N^(-p) (generalised Euler-Maclaurin); each order p in
+    ``cusp_orders`` is removed by one Richardson step over successive
+    grids, and the stop tests the last column.  Grid sizes count against
+    tol.max_terms and _GRID_CAP.
     """
     orders = sorted(set(cusp_orders))
-    n_grid = 1 << max(min_log2, int(math.ceil(math.log2(8 * (hi + 1)))))
+    n_grid, top = 1 << (8 * hi + 7).bit_length(), min(_GRID_CAP, tol.max_terms)
     prev: list[np.ndarray] = []  # the previous grid's row of the Richardson table
     residual = "no grid was evaluated"
-    while True:
-        if n_grid > _GRID_CAP:
-            raise ConvergenceError(f"{what} grid exceeded {_GRID_CAP} points: {residual}")
-        if n_grid > tol.max_terms:
-            raise ConvergenceError(f"{what} not stable within {tol.max_terms} grid points: {residual}")
+    while n_grid <= top:
         if prev:  # samples at k/N, k = 0..N/2: the last grid's at the even k
             fine = np.empty(n_grid // 2 + 1)
             fine[::2] = half
@@ -203,11 +193,16 @@ def _periodic_coeffs(
         if prev:
             k = len(prev) - 1
             change = float(np.max(np.abs(row[k] - prev[k])))
-            if k == len(orders) and change <= tol.abs_tol:
+            floor = np.finfo(np.float64).eps * math.log2(n_grid) * float(np.abs(half).mean())
+            if k == len(orders) and change <= max(tol.abs_tol, floor):
                 return row[k]
-            residual = f"the {n_grid}-point grid moved coefficients by {change:.3g} against abs_tol {tol.abs_tol:g}"
+            residual = (
+                f"the {n_grid}-point grid moved coefficients by {change:.3g} "
+                f"against abs_tol {tol.abs_tol:g} and rounding floor {floor:.3g}"
+            )
         prev = row
         n_grid *= 2
+    raise ConvergenceError(f"{what} not resolved within {top} grid points: {residual}")
 
 
 def g_fourier_coeffs(
@@ -221,9 +216,9 @@ def g_fourier_coeffs(
     Samples the ratio on a uniform grid and reads coefficients off an FFT
     (trapezoid quadrature is exact for periodic functions up to aliasing),
     doubling the grid until every coefficient with |j| <= J_max is stable
-    to tol.abs_tol.  The tail bound comes from the measured j^3 |G_j|
-    envelope over the upper half of the cached range, from j = 100 on
-    (``math.inf`` below J_max = 100).
+    to tol.abs_tol or to rounding.  The tail bound comes from the measured
+    j^3 |G_j| envelope over the upper half of the cached range, from
+    j = 100 on (``math.inf`` below J_max = 100).
     """
     h = _as_hurst(H)
     if not h.is_lrd or h.H >= 1.0:
@@ -231,13 +226,12 @@ def g_fourier_coeffs(
     J_max = _as_int(J_max, "J_max", 8)
     spec = FracDiff(h, driver)
     star = matched_fgn(spec)
-    inner = _inner_tol(tol)
 
     def ratio(x: np.ndarray) -> np.ndarray:
-        return spectrum(spec, x, inner) / spectrum(star, x, inner)
+        return spectrum(spec, x, tol) / spectrum(star, x, tol)
 
     # g has a removable point at x = 0, filled with its limit g(0) = 1.
-    coeff = _periodic_coeffs(ratio, 1.0, J_max, 16, tol, "G coefficient")
+    coeff = _periodic_coeffs(ratio, 1.0, J_max, tol, "G coefficient")
 
     # The envelope is measured from j = 100 on; below that |G_j| j^3 has not
     # settled, so a shorter range has no measured envelope and no bound.
@@ -337,7 +331,7 @@ def acvf(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTab
     return AcvfTable(spec, *_route_values(spec, _as_int(n_max, "n_max"), tol))
 
 
-def _gap_at_zero(spec: ProcessSpec, hd: float, inner: Tolerance, where: str = "") -> tuple[float, tuple[float, ...]]:
+def _gap_at_zero(spec: ProcessSpec, hd: float, tol: Tolerance, where: str = "") -> tuple[float, tuple[float, ...]]:
     """(phi(0), cusp orders) of phi = f - f* for a spec dominated at Hurst hd.
 
     A dominating part cancels against f* to |x|^(3 - 2H) at x = 0; any other
@@ -349,7 +343,7 @@ def _gap_at_zero(spec: ProcessSpec, hd: float, inner: Tolerance, where: str = ""
     if isinstance(spec, Sum):
         value, orders = 0.0, ()
         for i, (comp, weight) in enumerate(spec.components):
-            v, o = _gap_at_zero(comp, hd, inner, f"{where}.{i}" if where else str(i))
+            v, o = _gap_at_zero(comp, hd, tol, f"{where}.{i}" if where else str(i))
             value += weight * v
             orders += o
         return value, orders
@@ -361,7 +355,7 @@ def _gap_at_zero(spec: ProcessSpec, hd: float, inner: Tolerance, where: str = ""
             f"component {where} has weaker long memory (H = {h}) than the dominating H = {hd}: "
             "the density gap f - f* is unbounded at x = 0, so spectral subtraction does not apply"
         )
-    return spectrum(spec, 0.0, inner), (2.0 - 2.0 * h,) if h < 0.5 else ()
+    return spectrum(spec, 0.0, tol), (2.0 - 2.0 * h,) if h < 0.5 else ()
 
 
 def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTable:
@@ -376,13 +370,12 @@ def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Toleran
     """
     n_max = _as_int(n_max, "n_max")
     star = matched_fgn(spec)
-    inner = _inner_tol(tol)
-    phi0, orders = _gap_at_zero(spec, star.H.H, inner)
+    phi0, orders = _gap_at_zero(spec, star.H.H, tol)
 
     def phi(x: np.ndarray) -> np.ndarray:
-        return spectrum(spec, x, inner) - spectrum(star, x, inner)
+        return spectrum(spec, x, tol) - spectrum(star, x, tol)
 
-    gap = _periodic_coeffs(phi, phi0, n_max, 12, tol, "density gap", orders)
+    gap = _periodic_coeffs(phi, phi0, n_max, tol, "density gap", orders)
     values = _fgn_block(star.H.H, star.V, np.arange(n_max + 1)) + gap
     return AcvfTable(spec, Route.SPECTRAL_SUBTRACTION, values)
 

@@ -106,16 +106,20 @@ def _as_real(value, what: str, positive: bool = False) -> float:
     return float(value)
 
 
-def _as_frequencies(x, what: str = "frequency") -> tuple[np.ndarray, bool]:
-    """(x as a 1-D float64 array, whether x was a scalar); x needs an integer
-    or float dtype and finite entries in [-1/2, 1/2], else DomainError.  A
-    list that mixes bools with numbers infers a numeric dtype, so non-array
-    input is also refused when any element is a bool."""
+def _as_numeric(x) -> np.ndarray | None:
+    """x as an array of integer or float dtype, else None (also for a list holding a bool)."""
     xa = np.asarray(x)
     mixed = xa.ndim > 0 and not isinstance(x, np.ndarray) and any(
         isinstance(v, (bool, np.bool_)) for v in np.asarray(x, dtype=object).flat
     )
-    if xa.dtype.kind in "iuf" and not mixed:
+    return xa if xa.dtype.kind in "iuf" and not mixed else None
+
+
+def _as_frequencies(x, what: str = "frequency") -> tuple[np.ndarray, bool]:
+    """(x as a 1-D float64 array, whether x was a scalar); x needs a numeric dtype
+    (:func:`_as_numeric`) and finite entries in [-1/2, 1/2], else DomainError."""
+    xa = _as_numeric(x)
+    if xa is not None:
         scalar, xa = xa.ndim == 0, np.atleast_1d(xa.astype(np.float64, copy=False))
         if np.all(np.isfinite(xa)) and not np.any(np.abs(xa) > 0.5):
             return xa, scalar

@@ -28,8 +28,8 @@ __all__ = ["SamplePath", "sample", "sample_many", "empirical_acvf"]
 
 _SEED_BOUND = 2**64
 
-# Largest circulant embedding, and largest batch of path values, in
-# points: each array of that length takes 2 GiB.
+# Largest circulant embedding, batch of path values and CLI output
+# column, in points: each array of that length takes 2 GiB.
 _MAX_EMBEDDING = 2**28
 
 

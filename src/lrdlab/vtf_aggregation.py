@@ -19,7 +19,7 @@ import numpy as np
 
 from .covariance_engine import _DIRECT_CUTOFF, _driver_acvf, _fgn_block
 from .errors import DomainError
-from .kernel_special import _BERNOULLI, Tolerance, _as_int, _gamma_ratio
+from .kernel_special import _BERNOULLI, Tolerance, _as_int, _as_numeric, _gamma_ratio
 from .process_model import Fgn, FracDiff, ProcessSpec, Sum, driver_density
 
 __all__ = [
@@ -108,12 +108,10 @@ class _Farima00:
 
 
 def _lags(n, scale: int = 1) -> np.ndarray:
-    """scale |n| as an int64 array of n's shape; beyond 2^53 raises DomainError."""
-    arr = np.asarray(n)
-    if arr.dtype.kind not in "iu":
-        arr = arr.astype(np.float64)
-        if not np.all(np.mod(arr, 1.0) == 0.0):
-            raise DomainError("lags must be integers")
+    """scale |n| as an int64 array of n's shape; non-whole or beyond-2^53 lags raise DomainError."""
+    arr = _as_numeric(n)
+    if arr is None or arr.dtype.kind == "f" and not np.all(np.mod(arr, 1.0) == 0.0):
+        raise DomainError(f"lags must be integers, got {n!r}")
     top = int(scale) * max([1, int(np.max(arr)), -int(np.min(arr))] if arr.size else [1])
     if top > _LAG_LIMIT:
         raise DomainError(f"lag {top} exceeds 2^53 = {_LAG_LIMIT}; lags beyond it are inexact in float64")

@@ -8,7 +8,8 @@ floats and numpy integers are integers.  Every real scalar (Hurst
 exponents, variances, weights, coefficients, tolerances) goes through
 another: a bool, a string, None or a non-finite value is refused, and so
 is a non-positive value where the parameter must be positive.  Frequency
-arrays must have a numeric dtype and finite entries in [-1/2, 1/2].
+arrays must have a numeric dtype and finite entries in [-1/2, 1/2], and
+lag arrays a numeric dtype and whole-number entries.
 """
 
 import argparse
@@ -156,6 +157,20 @@ def test_frequency_arrays_are_validated_one_way(call):
         with pytest.raises(DomainError, match="frequency"):
             call(bad)
     assert _same(call(np.array([0.1, 0.5])), np.array([call(0.1), call(0.5)]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: vtf(FGN08).omega(n),
+    lambda n: vtf(FARIMA03).offset(n),
+    lambda n: aggregate_vtf(vtf(FGN08), 2).omega(n),
+    lambda n: aggregate_ctf(vtf(FGN08), 2, n),
+], ids=["omega", "offset", "AggregatedVtf.omega", "aggregate_ctf"])
+def test_lag_arrays_are_validated_one_way(call):
+    bad_values = (True, "3", object(), None, np.array([True]), [False, 2], 2.5, [1, math.nan], np.array(["1"]))
+    for bad in bad_values:
+        with pytest.raises(DomainError, match="^lags must be integers, got "):
+            call(bad)
+    assert _same(call(np.array([1, 3])), np.array([call(1), call(3.0)]))
 
 
 @pytest.mark.parametrize(

@@ -180,6 +180,18 @@ class TestTableCommands:
             assert out == ""
             assert "2^53" in err
 
+    @pytest.mark.parametrize("command, flag", [
+        ("acvf", "--nmax"), ("acvf --m 2", "--nmax"), ("vtf", "--nmax"), ("vtf --m 2", "--nmax"),
+        ("ctf", "--nmax"), ("ctf --m 2", "--nmax"), ("spectrum", "--points"),
+    ])
+    def test_oversized_requests_exit_two_naming_the_flag(self, tmp_path, capsys, command, flag):
+        # Refused by the sampler's 2^28-point array limit before any allocation.
+        args = [*command.split(), "--spec", write_spec(tmp_path, FARIMA03), flag, str(2**50)]
+        rc, out, err = run(args, capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {flag} {2**50} is beyond the array limit 2^28 = {sampler._MAX_EMBEDDING}\n"
+
     def test_aggregated_acvf_of_fgn_within_tolerance_of_exact(self, tmp_path, capsys):
         # The level-m aggregate of fGn is m^(2H-2) gamma(n) exactly; a second
         # difference of omega near V (mn)^(2H) missed this by 1.4e-9 relative.

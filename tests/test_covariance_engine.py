@@ -260,19 +260,20 @@ def test_periodic_coefficient_grids_count_against_max_terms():
     with pytest.raises(ConvergenceError, match="grid points: no grid was evaluated"):
         g_fourier_coeffs(0.8, Arma((0.3,), (0.7,)), 64, budget)
     spec = FracDiff(HurstParam(0.8), WhiteNoise(1.0))
-    with pytest.raises(ConvergenceError, match="grid points: only the 4096-point grid was evaluated"):
-        acvf_via_subtraction(spec, 10, Tolerance(max_terms=4096))
-    residual = r"grid points: the 65536-point grid moved coefficients by \S+ against abs_tol 1e-30"
+    with pytest.raises(ConvergenceError, match="grid points: only the 128-point grid was evaluated"):
+        acvf_via_subtraction(spec, 10, Tolerance(max_terms=128))
+    residual = r"grid points: the 16384-point grid moved coefficients by \S+ against abs_tol 1e-30 and rounding floor"
     with pytest.raises(ConvergenceError, match=residual):
-        acvf_via_subtraction(spec, 10, Tolerance(abs_tol=1e-30, max_terms=1 << 16))
+        acvf_via_subtraction(spec, 10, Tolerance(abs_tol=1e-30, max_terms=1 << 14))
 
 
-def _fresh_grid_coeffs(density, at_zero, hi, min_log2, tol, cusp_orders=()):
+def _fresh_grid_coeffs(density, at_zero, hi, tol, cusp_orders=()):
     # The engine before nested refinement, kept as the bit-for-bit reference:
-    # every grid samples the density afresh at k/N, k = 1..N/2.  Returns the
-    # coefficients and the size of the grid they were read off.
+    # every grid samples the density afresh at k/N, k = 1..N/2, from the
+    # smallest power of two N >= 8 (hi + 1).  Returns the coefficients and
+    # the size of the grid they were read off.
     orders = sorted(set(cusp_orders))
-    n_grid = 1 << max(min_log2, int(math.ceil(math.log2(8 * (hi + 1)))))
+    n_grid = 1 << int(math.ceil(math.log2(8 * (hi + 1))))
     prev = []
     while True:
         half = np.concatenate(([at_zero], density(np.arange(1, n_grid // 2 + 1, dtype=np.float64) / n_grid)))
@@ -282,19 +283,17 @@ def _fresh_grid_coeffs(density, at_zero, hi, min_log2, tol, cusp_orders=()):
             row.append(row[k] + (row[k] - prev[k]) / (2.0**p - 1.0))
         if prev:
             k = len(prev) - 1
-            if k == len(orders) and float(np.max(np.abs(row[k] - prev[k]))) <= tol.abs_tol:
+            floor = np.finfo(np.float64).eps * math.log2(n_grid) * float(np.abs(half).mean())
+            if k == len(orders) and float(np.max(np.abs(row[k] - prev[k]))) <= max(tol.abs_tol, floor):
                 return row[k], n_grid
         prev = row
         n_grid *= 2
 
 
-INNER = covariance_engine._inner_tol(Tolerance())
-
-
 def _ratio_case(h):
     spec = FracDiff(HurstParam(h), FARIMA11_DRIVER)
     star = matched_fgn(spec)
-    return (lambda x: spectrum(spec, x, INNER) / spectrum(star, x, INNER)), 1.0, ()
+    return (lambda x: spectrum(spec, x) / spectrum(star, x)), 1.0, ()
 
 
 def _driver_case(driver):
@@ -303,24 +302,24 @@ def _driver_case(driver):
 
 def _gap_case(spec):
     star = matched_fgn(spec)
-    phi0, orders = covariance_engine._gap_at_zero(spec, star.H.H, INNER)
-    return (lambda x: spectrum(spec, x, INNER) - spectrum(star, x, INNER)), phi0, orders
+    phi0, orders = covariance_engine._gap_at_zero(spec, star.H.H, Tolerance())
+    return (lambda x: spectrum(spec, x) - spectrum(star, x)), phi0, orders
 
 
-# (density on (0, 1/2], its value at 0, cusp orders), the highest coefficient
-# and the smallest grid's log2.  The grids start below the callers' so that
-# each run refines its first grid, the smooth FEXP density once, the others
-# two to eight times.
+# (density on (0, 1/2], its value at 0, cusp orders) and the highest
+# coefficient.  The grids start at the smallest power of two >= 8 (hi + 1),
+# and each run refines its first grid, the smooth FEXP density once, the
+# others two to eight times.
 GRID_CASES = {
-    "G ratio H=0.55": (lambda: _ratio_case(0.55), 8, 4),
-    "G ratio H=0.8": (lambda: _ratio_case(0.8), 8, 4),
-    "G ratio H=0.95": (lambda: _ratio_case(0.95), 8, 4),
-    "ARMA driver": (lambda: _driver_case(Arma((0.9,), (0.4,))), 16, 6),
-    "FEXP driver": (lambda: _driver_case(Fexp((0.5, -0.2))), 16, 6),
-    "gap AR(0.9)": (lambda: _gap_case(FracDiff(HurstParam(0.8), Arma((0.9,), ()))), 32, 12),
+    "G ratio H=0.55": (lambda: _ratio_case(0.55), 8),
+    "G ratio H=0.8": (lambda: _ratio_case(0.8), 8),
+    "G ratio H=0.95": (lambda: _ratio_case(0.95), 8),
+    "ARMA driver": (lambda: _driver_case(Arma((0.9,), (0.4,))), 16),
+    "FEXP driver": (lambda: _driver_case(Fexp((0.5, -0.2))), 16),
+    "gap AR(0.9)": (lambda: _gap_case(FracDiff(HurstParam(0.8), Arma((0.9,), ()))), 32),
     "gap with an antipersistent part": (lambda: _gap_case(
         Sum(((FracDiff(HurstParam(0.8), WhiteNoise(1.0)), 1.0), (FracDiff(HurstParam(0.4), WhiteNoise(1.0)), 0.2)))
-    ), 32, 12),
+    ), 32),
 }
 
 
@@ -330,7 +329,7 @@ def test_periodic_coeffs_evaluate_each_grid_point_once(case):
     # odd points, so a run ending on an N-point grid asks the density for
     # N/2 points in all, each once; the FFT sees the same doubles as with
     # fresh grids, so the coefficients are bit-identical.
-    make, hi, min_log2 = GRID_CASES[case]
+    make, hi = GRID_CASES[case]
     density, at_zero, orders = make()
     asked = []
 
@@ -339,8 +338,8 @@ def test_periodic_coeffs_evaluate_each_grid_point_once(case):
         return density(x)
 
     tol = Tolerance()
-    got = covariance_engine._periodic_coeffs(counting, at_zero, hi, min_log2, tol, case, orders)
-    want, n_final = _fresh_grid_coeffs(density, at_zero, hi, min_log2, tol, orders)
+    got = covariance_engine._periodic_coeffs(counting, at_zero, hi, tol, case, orders)
+    want, n_final = _fresh_grid_coeffs(density, at_zero, hi, tol, orders)
     assert got.tobytes() == want.tobytes()
     assert len(asked) >= 2, "the run should refine its first grid"
     points = np.sort(np.concatenate(asked))
@@ -351,11 +350,11 @@ def test_public_routes_read_the_engine():
     # g_fourier_coeffs and acvf_via_subtraction hand the engine the same
     # densities as the grid cases above.
     density, at_zero, orders = _ratio_case(0.8)
-    want, _ = _fresh_grid_coeffs(density, at_zero, 64, 16, Tolerance(), orders)
+    want, _ = _fresh_grid_coeffs(density, at_zero, 64, Tolerance(), orders)
     assert g_fourier_coeffs(0.8, FARIMA11_DRIVER, 64).values.tobytes() == want.tobytes()
     spec = FracDiff(HurstParam(0.8), Arma((0.9,), ()))
     density, at_zero, orders = _gap_case(spec)
-    gap, _ = _fresh_grid_coeffs(density, at_zero, 32, 12, Tolerance(), orders)
+    gap, _ = _fresh_grid_coeffs(density, at_zero, 32, Tolerance(), orders)
     star = matched_fgn(spec)
     want = covariance_engine._fgn_block(star.H.H, star.V, np.arange(33)) + gap
     assert acvf_via_subtraction(spec, 32).values.tobytes() == want.tobytes()
@@ -405,15 +404,26 @@ def test_near_unit_root_driver_against_exact_sum():
 
 
 def test_driver_grid_cap_is_named():
-    # The driver convolution resolves AR(0.999); the density-gap
-    # cross-check stops on an absolute Cauchy test, which it does not
-    # meet before the cap.
+    # |x|^(-1/2) has a singularity at x = 0 that no Richardson step removes,
+    # so its coefficients move by about N^(-1/2) at every doubling and the
+    # grid never settles before the cap.
     residual = (
-        rf"exceeded {_GRID_CAP} points: the {_GRID_CAP}-point grid moved "
+        rf"not resolved within {_GRID_CAP} grid points: the {_GRID_CAP}-point grid moved "
         r"coefficients by \S+ against abs_tol 1e-12"
     )
     with pytest.raises(ConvergenceError, match=residual):
-        acvf_via_subtraction(FracDiff(HurstParam(0.8), Arma((0.999,), ())), 10)
+        covariance_engine._periodic_coeffs(lambda x: x**-0.5, 0.0, 10, Tolerance(), "singular density")
+
+
+def test_subtraction_route_scales_with_the_density():
+    # The grid stops at the FFT's rounding floor when that exceeds abs_tol,
+    # so an innovation variance of 1e6 resolves, scales the unit table and
+    # matches the driver convolution to rounding in gamma(0).
+    unit = FracDiff(HurstParam(0.8), Arma((0.3,), (0.7,)))
+    big = FracDiff(HurstParam(0.8), Arma((0.3,), (0.7,), 1e6))
+    got = acvf_via_subtraction(big, 10).values
+    np.testing.assert_allclose(got, 1e6 * acvf_via_subtraction(unit, 10).values, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(got, acvf(big, 10).values, rtol=0.0, atol=1e-14 * got[0])
 
 
 def test_driver_autocovariance_scales_with_the_driver():
@@ -597,6 +607,7 @@ def test_sum_table_weights_components_built_once(monkeypatch):
 
 
 def test_inner_spectrum_tolerance_keeps_the_callers_budget(monkeypatch):
+    # The engine hands spectrum the caller's Tolerance unchanged.
     seen = []
     evaluate = covariance_engine.spectrum
 
@@ -609,8 +620,7 @@ def test_inner_spectrum_tolerance_keeps_the_callers_budget(monkeypatch):
     g_fourier_coeffs(0.8, FARIMA11_DRIVER, J_max=64, tol=budget)
     acvf_via_subtraction(FracDiff(HurstParam(0.8), FARIMA11_DRIVER), 4, budget)
     assert seen
-    assert {t.max_terms for t in seen} == {1_000_000}
-    assert {(t.abs_tol, t.rel_tol) for t in seen} == {(1e-13, budget.rel_tol)}
+    assert all(t is budget for t in seen)
 
 
 def test_positive_semidefinite_at_desk_scale():
