@@ -6,8 +6,9 @@ built-in brittleness experiments, and exact Gaussian sample paths,
 emitting CSV or JSON.  Every command is deterministic given its full
 flag set; the sampler is deterministic given its seed.
 
-Exit codes: 0 success, 2 configuration or parse error, 3 coverage
-shortfall or numerical non-convergence.
+Exit codes: 0 success, 1 standard output closed by its reader, 2
+configuration or parse error, 3 coverage shortfall or numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 from itertools import chain
@@ -202,6 +204,7 @@ def _write(args, chunks) -> None:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed reader raises here, not at interpreter exit
 
 
 def cmd_spectrum(args) -> None:
@@ -438,6 +441,15 @@ def main(argv=None) -> int:
     except (CoverageError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError as exc:
+        if args.out:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        # The reader of stdout is gone (`| head`): end quietly with status 1,
+        # as Python's signal docs advise for SIGPIPE; stdout now points at
+        # devnull, so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .covariance_engine import _DIRECT_CUTOFF, _driver_acvf, _fgn_block
 from .errors import DomainError
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _LAG_LIMIT = 2**53
+_BLOCK = 1 << 16  # values in one table of F or one gathered chunk of a FracDiff's driver sum
 
 
 def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -118,6 +120,24 @@ def _lags(n, scale: int = 1) -> np.ndarray:
     return int(scale) * np.abs(arr).astype(np.int64)
 
 
+def _add_in_order(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """acc + terms[:, 0] + terms[:, 1] + ..., added left to right; overwrites terms.
+
+    A running sum, so every row rounds exactly as Python's sum over the
+    columns would, which a pairwise reduction does not.
+    """
+    terms[:, 0] += acc
+    return np.cumsum(terms, axis=1, out=terms)[:, -1]
+
+
+def _run_points(run_pos: np.ndarray, shift: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """|m| at positions lo..hi-1 of the runs laid end to end; run r holds m = q + shift[r]."""
+    r0 = int(np.searchsorted(run_pos, lo, side="right")) - 1
+    r1 = int(np.searchsorted(run_pos, hi, side="left"))
+    edges = np.clip(run_pos[r0 : r1 + 1], lo, hi)
+    return np.abs(np.arange(lo, hi) + np.repeat(shift[r0:r1], np.diff(edges)))
+
+
 class VtfView:
     """Variance-time function omega(n) of a spec, in closed form at any lag.
 
@@ -128,8 +148,9 @@ class VtfView:
     Hurst exponent and ``V`` the exact growth constant, which may differ
     from the matched fGn variance in the last digits.  Fgn is V |n|^(2H); a
     FracDiff combines 2K+1 FARIMA(0,d,0) values through the driver
-    autocovariance gamma_h(0..K) of :func:`acvf`; a Sum weights the views
-    it keeps in ``components`` (empty for other specs).
+    autocovariance gamma_h(0..K) of :func:`acvf`, evaluating FARIMA(0,d,0)
+    once per distinct point of the lags' windows [n-K, n+K]; a Sum weights
+    the views it keeps in ``components`` (empty for other specs).
     """
 
     def __init__(self, spec: ProcessSpec, tol: Tolerance = Tolerance()):
@@ -142,6 +163,7 @@ class VtfView:
             # sum_{|k|<=K} gamma_h(k) omega_F(|n+k|) - C, C = sum_k gamma_h(k) omega_F(|k|).
             unit, gh = self._unit, self._gh = _Farima00(spec.H.d), _driver_acvf(spec.driver, tol)
             self._c = 2.0 * math.fsum(gh[1:] * unit.values(np.arange(1, len(gh)), False))
+            self._kpow = gh[1:] * np.array([k**unit.a for k in range(1, len(gh))])  # gamma_h(k) k^(2H)
             h0 = driver_density(spec.driver, 0.0)  # exact, not the truncated sum of gh
             self.H, self.V, self.D = spec.H, h0 * unit.V, h0 * unit.D - self._c
         elif isinstance(spec, Sum):
@@ -158,20 +180,85 @@ class VtfView:
         if isinstance(spec, Fgn):
             return np.zeros(n.shape) if offset else spec.V * n.astype(np.float64) ** (2.0 * spec.H.H)
         if isinstance(spec, FracDiff):
-            gh, unit = self._gh, self._unit
-            k_top = len(gh) - 1
-            out = sum(gh[abs(k)] * unit.values(np.abs(n + k), offset) for k in range(-k_top, k_top + 1))
+            if len(self._gh) == 1:  # K = 0: each window is its lag alone, so F is needed at the lags only
+                return self._gh[0] * self._unit.values(n, offset) - self._c
+            flat = n.ravel()
+            if np.all(flat[1:] >= flat[:-1]):
+                out = self._window_sums(flat, offset)
+            else:
+                order = np.argsort(flat)
+                out = np.empty(flat.shape)
+                out[order] = self._window_sums(flat[order], offset)
             if offset:
                 # Splitting omega_F = V_F m^a + offset_F leaves V_F sum_k
                 # gamma_h(k) (|n+k|^a - n^a): k^a times the unit fGn
                 # autocovariance at n/k, whose 1/n^2 series cancels nothing.
-                out = out + 2.0 * unit.V * sum(
-                    gh[k] * k**unit.a * _fgn_block(spec.H.H, 1.0, n / k) for k in range(1, k_top + 1)
-                )
-            return out - self._c
+                out = out + 2.0 * self._unit.V * self._power_sums(flat)
+            return out.reshape(n.shape) - self._c
         # A component below the top H contributes its whole omega to the offset.
         parts = zip(self.components, spec.components)
         return sum(w * p._values(n, offset and p.H == self.H) for p, (_, w) in parts)
+
+    def _window_sums(self, s: np.ndarray, offset: bool) -> np.ndarray:
+        """sum_{k=-K..K} gamma_h(|k|) F(|n+k|) for ascending lags s, k ascending.
+
+        F is omega_F, or offset_F if ``offset``.  The lags split into runs
+        wherever neighbours lie more than 2K+1 apart; each run's windows
+        [n-K, n+K] cover one stretch of m, and the stretches laid end to end
+        hold every m some window needs, once.  F is evaluated on them a
+        block at a time.  A window (or, when 2K+1 exceeds half a block, each
+        segment of it in turn) is summed once its block holds all of it;
+        the next block starts at the first window left and carries the
+        values it shares with the last.
+        """
+        gh, unit = self._gh, self._unit
+        if not s.size:
+            return np.zeros(0)
+        k_top = len(gh) - 1
+        width = 2 * k_top + 1
+        weights = gh[np.abs(np.arange(-k_top, k_top + 1))]
+        splits = np.flatnonzero(np.diff(s) > width) + 1
+        first, last = np.concatenate(([0], splits)), np.concatenate((splits - 1, [s.size - 1]))
+        run_pos = np.concatenate(([0], np.cumsum(s[last] - s[first] + width)))
+        shift = s[first] - k_top - run_pos[:-1]  # run r holds m = q + shift[r] at position q
+        pos = s - k_top - np.repeat(shift, last - first + 1)  # where each window starts
+        seg = min(width, _BLOCK // 2)
+        seg_starts = range(0, width, seg)
+        acc, done = np.zeros(s.shape), [0] * len(seg_starts)  # done[j]: windows whose segment j is summed
+        table, t_lo, t_hi = np.empty(0), 0, 0  # F at positions t_lo..t_hi-1
+        while True:
+            pending = [pos[i] + o for i, o in zip(done, seg_starts) if i < s.size]
+            if not pending:
+                return acc
+            lo = int(min(pending))
+            hi = min(lo + _BLOCK, int(run_pos[-1]))
+            fresh = unit.values(_run_points(run_pos, shift, t_hi, hi), offset)
+            table, t_lo, t_hi = np.concatenate((table[lo - t_lo :], fresh)), lo, hi
+            for j, o in enumerate(seg_starts):
+                w = min(seg, width - o)
+                end = int(np.searchsorted(pos, hi - o - w, side="right"))
+                if end <= done[j]:
+                    continue
+                windows = sliding_window_view(table, w)
+                for a in range(done[j], end, _BLOCK // w):
+                    b = min(end, a + _BLOCK // w)
+                    terms = windows[pos[a:b] + (o - lo)]
+                    terms *= weights[o : o + w]
+                    acc[a:b] = _add_in_order(acc[a:b], terms)
+                done[j] = end
+
+    def _power_sums(self, n: np.ndarray) -> np.ndarray:
+        """sum_{k=1..K} gamma_h(k) k^(2H) gamma*(n/k) over 1-D lags n, k ascending."""
+        k_top, out = len(self._kpow), np.zeros(n.shape)
+        seg = min(k_top, _BLOCK // 2)
+        for k0 in range(0, k_top, seg):
+            k = np.arange(k0 + 1, min(k_top, k0 + seg) + 1)
+            rows = _BLOCK // k.size
+            for a in range(0, n.size, rows):
+                terms = _fgn_block(self.spec.H.H, 1.0, n[a : a + rows, None] / k)
+                terms *= self._kpow[k0 : k0 + k.size]
+                out[a : a + rows] = _add_in_order(out[a : a + rows], terms)
+        return out
 
     def _evaluate(self, n, offset: bool):
         lags = np.atleast_1d(_lags(n))

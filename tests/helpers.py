@@ -5,6 +5,10 @@ import math
 import mpmath
 import numpy as np
 
+from lrdlab.covariance_engine import _fgn_block
+from lrdlab.process_model import FracDiff, Sum
+from lrdlab.vtf_aggregation import _lags
+
 
 def ulp_error(got: float, want) -> float:
     """|got - want| in units of the last place of want rounded to double."""
@@ -39,3 +43,35 @@ def farima00_offset_constants(d: float) -> tuple[float, float]:
         d * (1.0 + 2.0 * d)
     )
     return d * gamma0 / (1.0 + 2.0 * d), -v * d * (1.0 + d) * (1.0 + 2.0 * d) / 6.0
+
+
+def per_k_vtf(view, n, offset: bool):
+    """view.omega(n), or view.offset(n), summed one driver lag k at a time.
+
+    The direct form of a FracDiff's driver sum, the reference for the
+    library's shared window table: each k = -K..K evaluates the
+    FARIMA(0,d,0) omega (or offset) on the whole lag array, and Python's
+    sum adds the 2K+1 arrays in that order.  Fgn views are the library's
+    own; a Sum weights the references of its components.
+    """
+    lags = np.atleast_1d(_lags(n))
+    out = _per_k_values(view, lags, offset)
+    out[lags == 0] = 0.0
+    return float(out[0]) if np.ndim(n) == 0 else out
+
+
+def _per_k_values(view, n, offset):
+    spec = view.spec
+    if isinstance(spec, Sum):
+        parts = zip(view.components, spec.components)
+        return sum(w * _per_k_values(p, n, offset and p.H == view.H) for p, (_, w) in parts)
+    if not isinstance(spec, FracDiff):
+        return view._values(n, offset)
+    gh, unit = view._gh, view._unit
+    k_top = len(gh) - 1
+    out = sum(gh[abs(k)] * unit.values(np.abs(n + k), offset) for k in range(-k_top, k_top + 1))
+    if offset:
+        out = out + 2.0 * unit.V * sum(
+            gh[k] * k**unit.a * _fgn_block(spec.H.H, 1.0, n / k) for k in range(1, k_top + 1)
+        )
+    return out - view._c

@@ -564,6 +564,31 @@ class TestExitCodes:
         assert rc == 3
         assert "lag 12" in err
 
+    def test_closed_stdout_exits_one_quietly(self, tmp_path):
+        # `lrdlab vtf ... | head -1`: the reader closes the pipe mid-output.
+        # Nothing on stderr (no "Exception ignored" at exit), status 1.
+        src = str(Path(lrdlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        argv = ["vtf", "--spec", write_spec(tmp_path, WHITE), "--nmax", "200000"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "lrdlab.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            assert proc.stdout.readline() == b"n,value\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
+    def test_broken_pipe_writing_out_exits_two(self, tmp_path, capsys, monkeypatch):
+        def closed(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_write", closed)
+        argv = ["vtf", "--spec", write_spec(tmp_path, WHITE), "--out", str(tmp_path / "fifo")]
+        rc, _, err = run(argv, capsys)
+        assert rc == 2
+        assert err.startswith("error:")
+
     def test_large_innovation_variance_exits_zero(self, tmp_path, capsys):
         # The driver grid's stopping test is relative, so a driver's scale
         # alone cannot exhaust the grid budget.

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import f_alpha, ulp_error
+from helpers import f_alpha, per_k_vtf, ulp_error
 from lrdlab import cli
 from lrdlab import vtf_aggregation
 from lrdlab.asymptotics_lab import builtin_experiment, closeness_report, run_brittleness, vtf_offset
 from lrdlab.covariance_engine import _farima00_values, acvf
 from lrdlab.errors import DomainError
-from lrdlab.kernel_special import HurstParam
+from lrdlab.kernel_special import HurstParam, Tolerance
 from lrdlab.process_model import Arma, Fexp, Fgn, FracDiff, Sum, WhiteNoise, matched_fgn
 from lrdlab.vtf_aggregation import (
     AggregatedVtf,
@@ -204,23 +204,171 @@ def test_closeness_offset_against_exchange_identity(phi, theta):
     assert abs(got - float(want)) <= 1e-8
 
 
-@settings(max_examples=40, deadline=None)
+# The accuracy results promise (Tolerance.rel_tol).  Long-window drivers
+# are held to it at n <= 64, where the exchange identity's sum of 2K+1
+# terms of size gamma_h(k) omega_F(k) cancels hardest against omega(n).
+REL_TOL = Tolerance().rel_tol
+# AR(0.99) misses REL_TOL: over H in [0.05, 0.95], omega(n <= 64) lies up
+# to 1.5e-10 off the prefix sums (omega(1) at H = 0.6), about 17 eps times
+# the identity's sum of |terms|.  That is summation loss in the identity,
+# a known fault (ROADMAP item 19), checked here at this looser bound.
+AR099_EXCHANGE_LOSS = 5e-10
+PREFIX_SUM_DRIVERS = {
+    "arma": (Arma((0.5,), (-0.2,)), 1e-12, 500),
+    "ar0.9": (Arma((0.9,)), REL_TOL, 64),
+    "ar-0.9": (Arma((-0.9,)), REL_TOL, 64),
+    "ar0.99": (Arma((0.99,)), AR099_EXCHANGE_LOSS, 64),
+    "fexp": (Fexp((0.5, -0.2)), REL_TOL, 64),
+}
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     h=st.floats(0.05, 0.95),
     scale=st.floats(0.1, 10.0),
-    kind=st.sampled_from(["fgn", "white", "arma"]),
+    kind=st.sampled_from(["fgn", "white", *PREFIX_SUM_DRIVERS]),
     n_max=st.integers(1, 500),
 )
 def test_vtf_matches_prefix_sums(h, scale, kind, n_max):
+    rtol = 1e-12
     if kind == "fgn":
         spec = Fgn(HurstParam(h), scale)
     elif kind == "white":
         spec = FracDiff(HurstParam(h), WhiteNoise(scale))
     else:
-        spec = FracDiff(HurstParam(h), Arma((0.5,), (-0.2,), scale))
+        driver, rtol, n_top = PREFIX_SUM_DRIVERS[kind]
+        if isinstance(driver, Arma):
+            driver = Arma(driver.ar, driver.ma, scale)
+        spec, n_max = FracDiff(HurstParam(h), driver), min(n_max, n_top)
     want = double_integrate(acvf(spec, n_max).values)
     got = vtf(spec).omega(np.arange(n_max + 1))
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+
+BIT_IDENTITY_SPECS = {
+    "white": FracDiff(HurstParam(0.8), WhiteNoise(1.0)),
+    "ar0.3": FracDiff(HurstParam(0.8), Arma((0.3,))),
+    "ar0.9": FracDiff(HurstParam(0.8), Arma((0.9,))),
+    "ar-0.9": FracDiff(HurstParam(0.8), Arma((-0.9,))),
+    "ar0.99": FracDiff(HurstParam(0.8), Arma((0.99,))),
+    "arma": FracDiff(HurstParam(0.8), ARMA_31_7),
+    "fexp": FracDiff(HurstParam(0.8), Fexp((0.5, -0.2))),
+    "sum": Sum(
+        (
+            (FracDiff(HurstParam(0.8), Arma((0.9,))), 1.0),
+            (FracDiff(HurstParam(0.7), ARMA_31_7), 0.5),
+            (Fgn(HurstParam(0.5), 1.0), 0.1),
+        )
+    ),
+}
+
+
+def _driver_lags(view) -> int:
+    """K of a FracDiff view, the largest over a Sum's components, 0 for fGn."""
+    if view.components:
+        return max(_driver_lags(p) for p in view.components)
+    return len(getattr(view, "_gh", [0.0])) - 1
+
+
+SMALL_BLOCK = 1024  # AR(0.9)'s and AR(0.99)'s windows then span segments and blocks
+
+
+def _lag_cases(k_top: int) -> dict:
+    rng = np.random.default_rng(k_top)
+    width = 2 * k_top + 1
+    cases = {
+        "dense": np.arange(10_001),
+        "dense, short": np.arange(1_501),
+        "sparse": rng.integers(0, 10**15, 200),
+        "unsorted, duplicates, zeros": rng.permutation(np.r_[rng.integers(0, 3 * width, 300), 0, 0, 5, 5]),
+        "2-D": rng.integers(0, 5 * width, (6, 7)),
+        "scalar": 3 * k_top + 7,
+        "empty": np.zeros(0, dtype=np.int64),
+        "all below K": np.arange(k_top),
+    }
+    for block in (vtf_aggregation._BLOCK, SMALL_BLOCK):
+        # The last chunk of windows, and of the offset's power sums, holds one lag.
+        cases[f"one-lag window chunk at {block}"] = np.arange(1, 2 * (block // width) + 2)
+        cases[f"one-lag power chunk at {block}"] = np.arange(1, 2 * (block // max(1, min(k_top, block // 2))) + 2)
+    return cases
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(BIT_IDENTITY_SPECS))
+def test_driver_sum_is_bit_identical_to_the_per_k_sum(name, monkeypatch):
+    # One table per block of window points and running sums in k order must
+    # reproduce the per-k whole-array sum to the last bit, at the default
+    # block and at a small one.  The reference is elementwise in the lags,
+    # so it runs once over every case laid end to end.  The 10^4 dense lags
+    # skip the small block, where AR(0.99) would take seconds; the short
+    # dense run covers it.
+    view = vtf(BIT_IDENTITY_SPECS[name])
+    cases = _lag_cases(_driver_lags(view))
+    ends = np.cumsum([np.size(lags) for lags in cases.values()])
+    everything = np.concatenate([np.ravel(lags) for lags in cases.values()])
+    default = vtf_aggregation._BLOCK
+    for offset in (False, True):
+        reference = np.split(per_k_vtf(view, everything, offset), ends[:-1])
+        for (case, lags), want in zip(cases.items(), reference):
+            want = want.reshape(np.shape(lags))
+            for block in (default,) if case == "dense" else (default, SMALL_BLOCK):
+                monkeypatch.setattr(vtf_aggregation, "_BLOCK", block)
+                got = view.offset(lags) if offset else view.omega(lags)
+                assert _same_bits(got, want), (name, block, case, offset)
+
+
+def test_driver_sum_evaluates_each_window_point_once(monkeypatch):
+    evaluated = []
+    values = vtf_aggregation._Farima00.values
+    monkeypatch.setattr(
+        vtf_aggregation._Farima00, "values", lambda self, m, offset: evaluated.append(m.size) or values(self, m, offset)
+    )
+    # Dense lags 1..N: the windows' union is 1-K..N+K, N + 2K points in one
+    # call whatever K is.
+    n_top, calls = 1000, set()
+    for phi in (0.3, 0.9, 0.99):
+        view = vtf(FracDiff(HurstParam(0.8), Arma((phi,))))
+        k_top = len(view._gh) - 1
+        for offset in (False, True):
+            evaluated.clear()
+            view.offset(np.arange(1, n_top + 1)) if offset else view.omega(np.arange(1, n_top + 1))
+            assert sum(evaluated) <= n_top + 2 * k_top + 1, (phi, offset)
+            calls.add(len(evaluated))
+    assert calls == {1}
+
+
+def test_driver_sum_keeps_tables_and_chunks_under_the_block(monkeypatch):
+    # Far-apart lags on AR(0.999), K = 25,220: no window shares a point, its
+    # 2K+1 = 50,441 terms exceed half a block, so each is summed in two
+    # segments, yet no table, chunk or power-sum evaluation exceeds a block.
+    view = vtf(FracDiff(HurstParam(0.8), Arma((0.999,))))
+    k_top = len(view._gh) - 1
+    assert k_top == 25_220
+    lags = 10**6 * np.arange(1, 41) + np.arange(40)
+    sizes = {"table": [], "chunk": [], "power": []}
+    values, add_in_order, fgn_block = (
+        vtf_aggregation._Farima00.values,
+        vtf_aggregation._add_in_order,
+        vtf_aggregation._fgn_block,
+    )
+    monkeypatch.setattr(
+        vtf_aggregation._Farima00, "values", lambda self, m, o: sizes["table"].append(m.size) or values(self, m, o)
+    )
+    monkeypatch.setattr(
+        vtf_aggregation, "_add_in_order", lambda acc, t: sizes["chunk"].append(t.size) or add_in_order(acc, t)
+    )
+    monkeypatch.setattr(
+        vtf_aggregation, "_fgn_block", lambda h, v, n: sizes["power"].append(n.size) or fgn_block(h, v, n)
+    )
+    view.offset(lags)
+    assert sum(sizes["table"]) == lags.size * (2 * k_top + 1)
+    assert sum(sizes["power"]) == lags.size * k_top
+    for kind, seen in sizes.items():
+        assert 0 < max(seen) <= vtf_aggregation._BLOCK, kind
 
 
 def test_lags_beyond_2_53_are_named():
