@@ -7,14 +7,17 @@ emitting CSV or JSON.  Every command is deterministic given its full
 flag set; the sampler is deterministic given its seed.
 
 Exit codes: 0 success, 1 standard output closed by its reader, 2
-configuration or parse error, 3 coverage shortfall or numerical
-non-convergence.
+configuration or parse error, 3 numerical non-convergence.  CSV tables
+of numeric columns are bulk-formatted by ``_textfmt``; labelled tables
+are written by ``csv.writer``.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import re
@@ -36,9 +39,9 @@ from .asymptotics_lab import (
 )
 from .covariance_engine import _fgn_block, acvf
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import Tolerance, _as_int, _as_real
+from .kernel_special import Tolerance, _as_int, _as_length, _as_real
 from .process_model import spec_from_json, spec_to_json, spectrum
-from .sampler import _MAX_EMBEDDING, sample, sample_many
+from .sampler import sample, sample_many
 from .vtf_aggregation import VtfView, _lags, aggregate_ctf, aggregate_vtf
 
 def _read_json(path: str, what: str):
@@ -84,13 +87,6 @@ def _positive_int(args, name: str, minimum: int = 1) -> int:
     return _as_int(getattr(args, name), f"--{name}", minimum)
 
 
-def _length(n: int, flag: str) -> int:
-    # An output column's length, refused beyond the sampler's array limit.
-    if n > _MAX_EMBEDDING:
-        raise DomainError(f"{flag} {n} is beyond the array limit 2^28 = {_MAX_EMBEDDING}")
-    return n
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -101,34 +97,29 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _csv_field(text: str) -> str:
-    # csv.writer's minimal quoting.
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 # Values per formatting call; bounds the memory one call holds.
 _CHUNK = 1 << 16
 
 
 def _cells(part):
-    """CSV text of a slice of a column: ints as %d, floats as %.17g, any other
-    cell through _fmt with csv.writer's quoting."""
-    kind = part.dtype.kind if isinstance(part, np.ndarray) else ""
-    if kind in ("i", "u"):
-        return _textfmt.decimal(part)
-    if kind == "f":
-        return _textfmt.g17(part)
-    return _textfmt.text([_csv_field(_fmt(v)) for v in part])
+    """CSV text of a slice of a numeric column: ints as %d, floats as %.17g."""
+    convert = _textfmt.decimal if part.dtype.kind in "iu" else _textfmt.g17
+    return _textfmt.cut(convert(part))
 
 
 def _csv_chunks(header, columns):
-    """CSV text of the columns, formatted a chunk of rows at a time."""
-    yield ",".join(_csv_field(h) for h in header) + "\n"
-    rows = len(columns[0]) if columns else 0
+    """CSV text of the columns: numeric arrays formatted a chunk of rows at a
+    time, any other table row by row through csv.writer over _fmt cells."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    if not all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns):
+        writer.writerows([_fmt(v) for v in row] for row in zip(*columns))
+        yield buf.getvalue()
+        return
+    yield buf.getvalue()
     step = max(1, _CHUNK // max(1, len(columns)))
-    for start in range(0, rows, step):
+    for start in range(0, len(columns[0]) if columns else 0, step):
         parts = []
         for col in columns:
             parts += [_cells(col[start : start + step]), b","]
@@ -157,7 +148,7 @@ def _json_array(arr: np.ndarray, level: int):
     yield opening
     for start in range(0, len(table), step):
         cells = convert(table[start : start + step].ravel()).reshape(-1, len(seps), 24)
-        text = _textfmt.join([part for j, sep in enumerate(seps) for part in (cells[:, j], sep)])
+        text = _textfmt.join([part for j, sep in enumerate(seps) for part in (_textfmt.cut(cells[:, j]), sep)])
         yield text if start + step < len(table) else text[: -len(seps[-1])]
     yield closing
 
@@ -210,7 +201,7 @@ def _write(args, chunks) -> None:
 def cmd_spectrum(args) -> None:
     spec = _load_spec(args.spec)
     tol = _tolerance(args)
-    points = _length(_positive_int(args, "points"), "--points")
+    points = _as_length(args.points, "--points", 1)
     if not (0 < args.xmin <= args.xmax <= 0.5):
         raise DomainError(
             f"need 0 < xmin <= xmax <= 0.5 (the grid avoids x = 0), got [{args.xmin}, {args.xmax}]"
@@ -228,7 +219,7 @@ def cmd_acvf(args) -> None:
     spec = _load_spec(args.spec)
     tol = _tolerance(args)
     n_max, m = _positive_int(args, "nmax", 0), _positive_int(args, "m")
-    ns = np.arange(_length(n_max, "--nmax") + 1)
+    ns = np.arange(_as_length(n_max, "--nmax") + 1)
     if m == 1:
         values = acvf(spec, n_max, tol).values
     else:
@@ -251,7 +242,7 @@ def cmd_vtf(args) -> None:
     tol = _tolerance(args)
     n_max, m = _positive_int(args, "nmax"), _positive_int(args, "m")
     _lags(n_max, m)  # the 2^53 guard, before any lag array is built
-    ns = np.arange(1, _length(n_max, "--nmax") + 1)
+    ns = np.arange(1, _as_length(n_max, "--nmax") + 1)
     values = aggregate_vtf(VtfView(spec, tol), m).omega(ns)
     _emit(args, ("n", "value"), (ns, values))
 
@@ -261,7 +252,7 @@ def cmd_ctf(args) -> None:
     tol = _tolerance(args)
     n_max, m = _positive_int(args, "nmax"), _positive_int(args, "m")
     _lags(n_max, m)  # the 2^53 guard, before any lag array is built
-    ns = np.arange(1, _length(n_max, "--nmax") + 1)
+    ns = np.arange(1, _as_length(n_max, "--nmax") + 1)
     values = aggregate_ctf(VtfView(spec, tol), m, ns)
     _emit(args, ("n", "value"), (ns, values))
 
@@ -348,17 +339,17 @@ def cmd_sample(args) -> None:
 
 
 def _sample_csv(values):
-    """CSV text of equal-length paths, path by path.  The t column's text is
-    formatted once and shared; each call writes _CHUNK // 3 rows of a path."""
+    """CSV text of equal-length paths, path by path.  The text of the t
+    column and its comma is formatted once and shared; each call writes
+    _CHUNK // 3 rows of a path."""
     n = len(values[0])
-    t_text = _textfmt.cut(_textfmt.decimal(np.arange(n))).copy()  # not a view pinning 24 B a row
+    t_text = np.concatenate((_textfmt.cut(_textfmt.decimal(np.arange(n))), np.full((n, 1), ord(","), np.uint8)), axis=1)
     step = max(1, _CHUNK // 3)
     yield "path,t,value\n"
     for i, v in enumerate(values):
         label = b"%d," % i
         for start in range(0, n, step):
-            t = t_text[start : start + step]
-            yield _textfmt.join([label, (t, t != 0), b",", _textfmt.g17(v[start : start + step]), b"\n"])
+            yield _textfmt.join([label, t_text[start : start + step], _cells(v[start : start + step]), b"\n"])
 
 
 def _add_common(sub, *, spec_required=True, nmax_default=None, format_default="csv"):

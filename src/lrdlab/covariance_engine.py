@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, CoverageError, DomainError
-from .kernel_special import HurstParam, Tolerance, _as_hurst, _as_int, _as_real, _gamma_ratio
+from .kernel_special import HurstParam, Tolerance, _as_hurst, _as_int, _as_length, _as_real, _gamma_ratio
 from .process_model import (
     Fgn,
     FracDiff,
@@ -118,7 +118,7 @@ def farima00_acvf(d: float, sigma2: float, n: int) -> float:
     d, sigma2 = _as_real(d, "d"), _as_real(sigma2, "sigma2", positive=True)
     if not 0.0 < d < 0.5:
         raise DomainError(f"d must lie in (0, 1/2), got {d!r}")
-    n = _as_int(n, "lag n")
+    n = _as_length(n, "lag n")
     return float(_farima00_values(d, sigma2, n)[n])
 
 
@@ -328,7 +328,7 @@ def acvf(spec: ProcessSpec, n_max: int, tol: Tolerance = Tolerance()) -> AcvfTab
     and G-coefficient routes are cross-checks, available separately as
     :func:`acvf_via_subtraction` and :func:`acvf_via_convolution`.
     """
-    return AcvfTable(spec, *_route_values(spec, _as_int(n_max, "n_max"), tol))
+    return AcvfTable(spec, *_route_values(spec, _as_length(n_max, "n_max"), tol))
 
 
 def _gap_at_zero(spec: ProcessSpec, hd: float, tol: Tolerance, where: str = "") -> tuple[float, tuple[float, ...]]:
@@ -368,7 +368,7 @@ def acvf_via_subtraction(spec: ProcessSpec, n_max: int, tol: Tolerance = Toleran
     cross-check of :func:`acvf`; a weaker long-memory component makes phi
     unbounded and raises :class:`DomainError` naming it, before any grid.
     """
-    n_max = _as_int(n_max, "n_max")
+    n_max = _as_length(n_max, "n_max")
     star = matched_fgn(spec)
     phi0, orders = _gap_at_zero(spec, star.H.H, tol)
 
@@ -396,7 +396,7 @@ def acvf_via_convolution(
     :func:`acvf_via_subtraction`; J is the cached range of ``coeffs``
     (computed here when not supplied).
     """
-    n_max = _as_int(n_max, "n_max")
+    n_max = _as_length(n_max, "n_max")
     h = _as_hurst(H)
     gc = coeffs if coeffs is not None else g_fourier_coeffs(h, driver, J_max, tol)
     spec = FracDiff(h, driver)

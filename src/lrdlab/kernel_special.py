@@ -96,6 +96,19 @@ def _as_int(value, what: str, minimum: int | None = 0) -> int:
     return int(value)
 
 
+# Largest array one request may build, in points: 2 GiB of float64.
+_MAX_ARRAY = 2**28
+
+
+def _as_length(value, what: str, minimum: int = 0) -> int:
+    """:func:`_as_int`, also refused with a DomainError beyond _MAX_ARRAY, so
+    that an oversized request fails before any array of that length exists."""
+    n = _as_int(value, what, minimum)
+    if n > _MAX_ARRAY:
+        raise DomainError(f"{what} {n} is beyond the array limit 2^28 = {_MAX_ARRAY}")
+    return n
+
+
 def _as_real(value, what: str, positive: bool = False) -> float:
     """``value`` as a float; a bool, a non-real, a non-finite value or, when
     ``positive``, a value <= 0 raises DomainError naming ``what``."""
@@ -218,7 +231,7 @@ def frac_diff_coeffs(d: float, n_max: int) -> np.ndarray:
     d = _as_real(d, "fractional order")
     if not -1.0 < d < 0.5:
         raise DomainError(f"fractional order must lie in (-1, 1/2), got {d!r}")
-    n_max = _as_int(n_max, "n_max")
+    n_max = _as_length(n_max, "n_max")
     psi = np.empty(n_max + 1, dtype=np.float64)
     psi[0] = 1.0
     for j in range(1, n_max + 1):

@@ -21,16 +21,12 @@ import numpy as np
 
 from .covariance_engine import acvf
 from .errors import ConvergenceError, DomainError
-from .kernel_special import Tolerance, _as_int
+from .kernel_special import _MAX_ARRAY as _MAX_EMBEDDING, Tolerance, _as_int
 from .process_model import ProcessSpec
 
 __all__ = ["SamplePath", "sample", "sample_many", "empirical_acvf"]
 
 _SEED_BOUND = 2**64
-
-# Largest circulant embedding, batch of path values and CLI output
-# column, in points: each array of that length takes 2 GiB.
-_MAX_EMBEDDING = 2**28
 
 
 def _check_seed(seed) -> int:

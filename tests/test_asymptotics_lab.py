@@ -140,6 +140,14 @@ class TestCtfConvergenceSlope:
         with pytest.raises(DomainError, match="decades"):
             ctf_convergence_slope(view, 2, (1, 2, 4))
 
+    def test_top_decade_of_one_level_falls_back_to_the_last_two(self):
+        # Only level 1000 lies in the top decade, so the fit takes the last
+        # two usable levels instead.
+        r = ctf_convergence_slope(VtfView(FARIMA03), 2, (1, 2, 1000))
+        assert r.levels_used == (2, 1000)
+        lg = np.log(np.abs(r.gaps[1:]))
+        assert r.slope_hat == float(np.polyfit(np.log([2, 1000]), lg, 1)[0])
+
     def test_perturbation_separates_slopes(self):
         levels = tuple(2**k for k in range(9))
         for k in (1, 2, 3):
@@ -168,6 +176,20 @@ class TestSpectralGapProfile:
         assert p.degenerate
         assert p.slope_near_zero == 0.0
         assert all(v == 0.0 for v in p.phi)
+
+    @pytest.mark.parametrize(
+        "grid, window",
+        [
+            # Fewer than 3 points below 1e-2: the two decades above x[0].
+            ([1e-3, 0.05, 0.08, 0.1, 0.3, 0.5], slice(0, 4)),
+            # Fewer than 3 there as well: the whole grid.
+            ([1e-3, 0.2, 0.3, 0.5], slice(None)),
+        ],
+    )
+    def test_slope_window_fallbacks(self, grid, window):
+        p = spectral_gap_profile(FARIMA03, grid)
+        x, phi = np.array(p.x)[window], np.abs(p.phi)[window]
+        assert p.slope_near_zero == float(np.polyfit(np.log(x), np.log(phi), 1)[0])
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -381,6 +403,26 @@ class TestClosenessReport:
         assert rep.matched_candidate == "neither"
         back = json.loads(json.dumps(report_to_json(rep)))
         assert back["D_formula_signed"] is None and back["D_formula_abs"] is None
+
+    def test_growth_exponent_needs_two_probes_in_the_top_decade(self):
+        # A weaker long-memory component makes the offset grow as n^(2H').
+        # Two probes in the top decade measure that growth; with one, beta
+        # falls back to 0.
+        spec = Sum(((FARIMA03, 1.0), (Fgn(HurstParam(0.7), 1.0), 0.1)))
+        grids = dict(acvf_grid=range(0, 501, 25), x_grid=np.geomspace(1e-3, 0.5, 9))
+        measured = closeness_report(spec, n_probe=(1_000, 10_000), **grids)
+        assert not measured.offset_converged
+        assert measured.beta_hat == pytest.approx(1.4, abs=1e-3)
+        alone = closeness_report(spec, n_probe=(10, 10_000), **grids)
+        assert not alone.offset_converged
+        assert alone.beta_hat == 0.0
+
+    @pytest.mark.parametrize(
+        "signed, absolute, name",
+        [(1.0, 1.0, "both"), (1.0, 2.0, "signed"), (2.0, 1.0, "absolute"), (2.0, 3.0, "neither")],
+    )
+    def test_candidate_names_for_finite_candidates(self, signed, absolute, name):
+        assert asymptotics_lab._candidate_name(1.0, signed, absolute, 1.0) == name
 
     def test_g_coefficients_summed_once_per_report(self, monkeypatch):
         # Only the offset candidates read the G coefficients; the slope's

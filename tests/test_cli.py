@@ -20,7 +20,7 @@ import lrdlab
 from lrdlab import cli, sampler
 from lrdlab.errors import ConvergenceError, CoverageError
 from lrdlab.kernel_special import Tolerance
-from lrdlab.process_model import spec_from_json
+from lrdlab.process_model import spec_from_json, spectrum
 from lrdlab.sampler import SamplePath, sample, sample_many
 
 FGN08 = {"type": "fgn", "H": 0.8, "V": 1.0}
@@ -119,6 +119,16 @@ class TestSpectrumCommand:
         _, rows = parse_csv(out)
         assert rc == 0
         assert float(rows[0][1]) == pytest.approx(2.0**-0.6, rel=1e-14)
+
+    def test_tolerance_flag_reaches_the_spectrum(self, tmp_path, capsys):
+        spec = {"type": "fgn", "H": 0.2, "V": 1.0}
+        rc, out, _ = run(["spectrum", "--spec", write_spec(tmp_path, spec), "--tol", "1e-14"], capsys)
+        assert rc == 0
+        _, rows = parse_csv(out)
+        xs = np.geomspace(1e-4, 0.5, 200)
+        want = spectrum(spec_from_json(spec), xs, Tolerance(1e-14, 1e-14))
+        assert np.array([float(x) for x, _ in rows]).tobytes() == xs.tobytes()
+        assert np.array([float(f) for _, f in rows]).tobytes() == want.tobytes()
 
     def test_malformed_spec_json_exits_two_with_message(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -611,6 +621,7 @@ class TestEmissionMatchesTheOldEmitter:
 
     COMMANDS = {
         "spectrum": ["spectrum", "--spec", "fd", "--points", "40"],
+        "spectrum_linear": ["spectrum", "--spec", "arma", "--points", "40", "--grid", "linear"],
         "acvf": ["acvf", "--spec", "arma", "--nmax", "64"],
         "acvf_m": ["acvf", "--spec", "fgn", "--nmax", "50", "--m", "10"],
         "vtf": ["vtf", "--spec", "fd", "--nmax", "300", "--m", "3"],
@@ -716,6 +727,13 @@ class TestEmissionMatchesTheOldEmitter:
         out_path = tmp_path / "edge.json"
         cli._emit(argparse.Namespace(format="json", out=str(out_path)), (), None, json_obj=obj)
         assert out_path.read_text() == old_text("json", (), None, obj)
+
+        # A table of numeric arrays takes the bulk path, which writes its
+        # header through csv.writer too.
+        header = ("n, lag", 'value "x"', "line\nbreak")
+        numeric = (columns[2], columns[3], np.array([1, 2, 3, 4, 5], dtype=np.uint8))
+        cli._emit(args, header, numeric)
+        assert capsys.readouterr().out == old_text("csv", header, numeric)
 
 
 def fresh_stdout(code):

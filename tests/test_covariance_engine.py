@@ -231,6 +231,24 @@ def test_route_selection():
         acvf(FracDiff(HurstParam(1.0), WhiteNoise(1.0)), 4)
 
 
+@pytest.mark.parametrize(
+    "request_table",
+    [
+        lambda n: acvf(Fgn(HurstParam(0.8), 1.0), n),
+        lambda n: acvf(FracDiff(HurstParam(0.8), FARIMA11_DRIVER), n),
+        lambda n: farima00_acvf(0.3, 1.0, n),
+        lambda n: acvf_via_subtraction(FracDiff(HurstParam(0.8), WhiteNoise(1.0)), n),
+        lambda n: acvf_via_convolution(0.8, WhiteNoise(1.0), n),
+    ],
+    ids=["acvf_fgn", "acvf_fracdiff", "farima00_acvf", "subtraction", "convolution"],
+)
+def test_oversized_tables_raise_domain_error(request_table):
+    # 2^40 lags would need terabytes: refused by the array limit before any
+    # array, any G coefficient or any grid is built.
+    with pytest.raises(DomainError, match=r"1099511627776 is beyond the array limit 2\^28 = 268435456"):
+        request_table(2**40)
+
+
 def test_acvf_never_integrates(monkeypatch):
     # The driver route reads the driver density only; the subtraction route
     # samples the spectrum of the spec and its matched fGn.

@@ -174,6 +174,12 @@ def test_frac_diff_coeffs_negative_length():
         frac_diff_coeffs(0.3, -1)
 
 
+def test_frac_diff_coeffs_oversized_length():
+    # Refused before the 8 TiB array is allocated.
+    with pytest.raises(DomainError, match=r"n_max 1099511627776 is beyond the array limit 2\^28"):
+        frac_diff_coeffs(0.3, 2**40)
+
+
 def test_lattice_sum_matches_hurwitz_oracle():
     for (x, h), want in LATTICE_ORACLE.items():
         got = fgn_lattice_sum(x, h, Tolerance(abs_tol=1e-14))

@@ -421,6 +421,13 @@ def test_double_integrate_trivial_cases():
     assert np.array_equal(double_integrate(ones), np.arange(10, dtype=np.float64) ** 2)
 
 
+def test_double_integrate_refuses_2d_and_keeps_empty():
+    with pytest.raises(DomainError, match="one-dimensional"):
+        double_integrate(np.ones((2, 3)))
+    out = double_integrate([])
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
 def test_double_integrate_matches_nested_loop_oracle():
     rng = np.random.default_rng(7)
     for _ in range(20):
