@@ -50,8 +50,6 @@ __all__ = [
     "brittleness_csv_rows",
 ]
 
-_EPS = float(np.finfo(np.float64).eps)
-
 # Relative tolerance for declaring a closed-form offset candidate equal to
 # the measured value.
 _REL_MATCH = 1e-4
@@ -189,6 +187,17 @@ class SlopeReport:
     saturated: bool
 
 
+def _loglog_slope(pairs) -> float:
+    """Least-squares slope of log|y| against log x over (x, y) pairs."""
+    return float(np.polyfit(np.log([x for x, _ in pairs]), np.log([abs(y) for _, y in pairs]), 1)[0])
+
+
+def _top_decade(pairs) -> list:
+    """The (x, y) pairs, x ascending, within a decade of the last x, or the last two if fewer."""
+    top = [(x, y) for x, y in pairs if 10 * x >= pairs[-1][0]]
+    return top if len(top) >= 2 else list(pairs[-2:])
+
+
 def ctf_convergence_slope(view: VtfView, n: int, levels) -> SlopeReport:
     """Fit log|rho^(m)(n) - n^(2H)| against log m over aggregation levels.
 
@@ -213,7 +222,7 @@ def ctf_convergence_slope(view: VtfView, n: int, levels) -> SlopeReport:
     gap = (view.offset([m * n for m in lv]) - rho_star * view.offset(lv)) / view.omega(lv)
     gaps = tuple(float(g) for g in gap)
 
-    floor = max(20.0 * _EPS, 1e-14) * rho_star
+    floor = 1e-14 * rho_star
     usable = [(m, g) for m, g in zip(lv, gaps) if abs(g) > floor]
     if len(usable) < 2:
         return SlopeReport(
@@ -228,16 +237,9 @@ def ctf_convergence_slope(view: VtfView, n: int, levels) -> SlopeReport:
             saturated=True,
         )
 
-    def fit(pairs) -> float:
-        lm = np.log([m for m, _ in pairs])
-        lg = np.log([abs(g) for _, g in pairs])
-        return float(np.polyfit(lm, lg, 1)[0])
-
-    slope_full = fit(usable)
-    top = [(m, g) for m, g in usable if 10 * m >= usable[-1][0]]
-    if len(top) < 2:
-        top = usable[-2:]
-    slope_hat = fit(top)
+    slope_full = _loglog_slope(usable)
+    top = _top_decade(usable)
+    slope_hat = _loglog_slope(top)
 
     m_top, gap_top = usable[-1]
     coeff_measured = gap_top * float(m_top) ** h2
@@ -541,9 +543,11 @@ def closeness_report(
 
     Defaults: offset probes 1e3/2e3/5e3/1e4, slope at lag 2 over levels
     2^0..2^10, spectral grid geomspace(1e-4, 1/2, 49), autocovariance grid
-    61 log-spaced lags up to 1e4.  beta_hat is the top-decade growth
-    exponent of |offset(n)|, reported as 0 when the offset has stabilised
-    and clamped into [0, 2H] (its defining range as a growth index).
+    61 log-spaced lags up to 1e4.  beta_hat is the growth exponent of
+    |offset(n)|, fitted over the probes in the top decade (the last two if
+    it holds one) as the slope is, reported as 0 when the offset has
+    stabilised or fewer than two probes have a non-zero offset, and clamped
+    into [0, 2H] (its defining range as a growth index).
     """
     fp = matched_fgn(spec)
     probes = tuple(sorted(set(_int_grid(n_probe, "n_probe"))))
@@ -562,21 +566,11 @@ def closeness_report(
     spectral = spectral_gap_profile(spec, xg, tol)
     gap = acvf_gap_profile(spec, grid, tol)
 
-    if evidence.converged:
+    nonzero = [(n, off) for n, off in zip(evidence.probes, evidence.offsets) if abs(off) > 0.0]
+    if evidence.converged or len(nonzero) < 2:
         beta = 0.0
     else:
-        top = [
-            (n, off)
-            for n, off in zip(evidence.probes, evidence.offsets)
-            if 10 * n >= evidence.probes[-1] and abs(off) > 0.0
-        ]
-        if len(top) < 2:
-            beta = 0.0
-        else:
-            ln = np.log([n for n, _ in top])
-            lo = np.log([abs(off) for _, off in top])
-            beta = float(np.polyfit(ln, lo, 1)[0])
-        beta = min(max(beta, 0.0), 2.0 * fp.H.H)
+        beta = min(max(_loglog_slope(_top_decade(nonzero)), 0.0), 2.0 * fp.H.H)
 
     curves = (
         ("vtf_offset", tuple((float(n), off) for n, off in zip(evidence.probes, evidence.offsets))),

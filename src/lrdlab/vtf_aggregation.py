@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 _LAG_LIMIT = 2**53
-_BLOCK = 1 << 16  # values in one table of F or one gathered chunk of a FracDiff's driver sum
+_BLOCK = 1 << 16  # F points per call, new points per group and values per chunk of a FracDiff's driver sum
 
 
 def _neumaier_add(total: float, comp: float, x: float) -> tuple[float, float]:
@@ -120,22 +120,13 @@ def _lags(n, scale: int = 1) -> np.ndarray:
     return int(scale) * np.abs(arr).astype(np.int64)
 
 
-def _add_in_order(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """acc + terms[:, 0] + terms[:, 1] + ..., added left to right; overwrites terms.
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """terms[:, 0] + terms[:, 1] + ..., added left to right; overwrites terms.
 
     A running sum, so every row rounds exactly as Python's sum over the
     columns would, which a pairwise reduction does not.
     """
-    terms[:, 0] += acc
     return np.cumsum(terms, axis=1, out=terms)[:, -1]
-
-
-def _run_points(run_pos: np.ndarray, shift: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """|m| at positions lo..hi-1 of the runs laid end to end; run r holds m = q + shift[r]."""
-    r0 = int(np.searchsorted(run_pos, lo, side="right")) - 1
-    r1 = int(np.searchsorted(run_pos, hi, side="left"))
-    edges = np.clip(run_pos[r0 : r1 + 1], lo, hi)
-    return np.abs(np.arange(lo, hi) + np.repeat(shift[r0:r1], np.diff(edges)))
 
 
 class VtfView:
@@ -149,8 +140,9 @@ class VtfView:
     from the matched fGn variance in the last digits.  Fgn is V |n|^(2H); a
     FracDiff combines 2K+1 FARIMA(0,d,0) values through the driver
     autocovariance gamma_h(0..K) of :func:`acvf`, evaluating FARIMA(0,d,0)
-    once per distinct point of the lags' windows [n-K, n+K]; a Sum weights
-    the views it keeps in ``components`` (empty for other specs).
+    once per distinct point of the lags' windows [n-K, n+K] within a group
+    of lags (up to 2K points more where two groups' windows meet); a Sum
+    weights the views it keeps in ``components`` (empty for other specs).
     """
 
     def __init__(self, spec: ProcessSpec, tol: Tolerance = Tolerance()):
@@ -202,62 +194,43 @@ class VtfView:
     def _window_sums(self, s: np.ndarray, offset: bool) -> np.ndarray:
         """sum_{k=-K..K} gamma_h(|k|) F(|n+k|) for ascending lags s, k ascending.
 
-        F is omega_F, or offset_F if ``offset``.  The lags split into runs
-        wherever neighbours lie more than 2K+1 apart; each run's windows
-        [n-K, n+K] cover one stretch of m, and the stretches laid end to end
-        hold every m some window needs, once.  F is evaluated on them a
-        block at a time.  A window (or, when 2K+1 exceeds half a block, each
-        segment of it in turn) is summed once its block holds all of it;
-        the next block starts at the first window left and carries the
-        values it shares with the last.
+        F is omega_F, or offset_F if ``offset``.  Of the 2K+1 points of a
+        window [n-K, n+K], those beyond the previous lag's window are new.
+        The lags go in groups: a group's table holds its first lag's whole
+        window, then the later lags' new points, up to a block of them, so
+        each window ends where its new points do.  A point shared by the
+        windows on both sides of a group boundary is evaluated in both
+        groups, at most 2K extra points per boundary.  F is evaluated a
+        block of points at a time, and the windows are gathered in chunks
+        of at most a block of terms (one window when 2K+1 exceeds a block).
         """
         gh, unit = self._gh, self._unit
-        if not s.size:
-            return np.zeros(0)
         k_top = len(gh) - 1
         width = 2 * k_top + 1
         weights = gh[np.abs(np.arange(-k_top, k_top + 1))]
-        splits = np.flatnonzero(np.diff(s) > width) + 1
-        first, last = np.concatenate(([0], splits)), np.concatenate((splits - 1, [s.size - 1]))
-        run_pos = np.concatenate(([0], np.cumsum(s[last] - s[first] + width)))
-        shift = s[first] - k_top - run_pos[:-1]  # run r holds m = q + shift[r] at position q
-        pos = s - k_top - np.repeat(shift, last - first + 1)  # where each window starts
-        seg = min(width, _BLOCK // 2)
-        seg_starts = range(0, width, seg)
-        acc, done = np.zeros(s.shape), [0] * len(seg_starts)  # done[j]: windows whose segment j is summed
-        table, t_lo, t_hi = np.empty(0), 0, 0  # F at positions t_lo..t_hi-1
-        while True:
-            pending = [pos[i] + o for i, o in zip(done, seg_starts) if i < s.size]
-            if not pending:
-                return acc
-            lo = int(min(pending))
-            hi = min(lo + _BLOCK, int(run_pos[-1]))
-            fresh = unit.values(_run_points(run_pos, shift, t_hi, hi), offset)
-            table, t_lo, t_hi = np.concatenate((table[lo - t_lo :], fresh)), lo, hi
-            for j, o in enumerate(seg_starts):
-                w = min(seg, width - o)
-                end = int(np.searchsorted(pos, hi - o - w, side="right"))
-                if end <= done[j]:
-                    continue
-                windows = sliding_window_view(table, w)
-                for a in range(done[j], end, _BLOCK // w):
-                    b = min(end, a + _BLOCK // w)
-                    terms = windows[pos[a:b] + (o - lo)]
-                    terms *= weights[o : o + w]
-                    acc[a:b] = _add_in_order(acc[a:b], terms)
-                done[j] = end
+        total = np.cumsum(np.minimum(width, np.diff(s, prepend=s[:1] - width)))  # where each window ends
+        rows, out, a = max(1, _BLOCK // width), np.empty(s.shape), 0
+        while a < s.size:
+            b = int(np.searchsorted(total, total[a] + _BLOCK, side="right"))
+            ends = total[a:b] - (total[a] - width)
+            points = np.abs(np.repeat(s[a:b] + k_top + 1 - ends, np.diff(ends, prepend=0)) + np.arange(ends[-1]))
+            table = np.concatenate([unit.values(points[p : p + _BLOCK], offset) for p in range(0, points.size, _BLOCK)])
+            windows, group = sliding_window_view(table, width), out[a:b]
+            for c in range(0, b - a, rows):
+                terms = windows[ends[c : c + rows] - width]
+                terms *= weights
+                group[c : c + rows] = _sum_in_order(terms)
+            a = b
+        return out
 
     def _power_sums(self, n: np.ndarray) -> np.ndarray:
         """sum_{k=1..K} gamma_h(k) k^(2H) gamma*(n/k) over 1-D lags n, k ascending."""
-        k_top, out = len(self._kpow), np.zeros(n.shape)
-        seg = min(k_top, _BLOCK // 2)
-        for k0 in range(0, k_top, seg):
-            k = np.arange(k0 + 1, min(k_top, k0 + seg) + 1)
-            rows = _BLOCK // k.size
-            for a in range(0, n.size, rows):
-                terms = _fgn_block(self.spec.H.H, 1.0, n[a : a + rows, None] / k)
-                terms *= self._kpow[k0 : k0 + k.size]
-                out[a : a + rows] = _add_in_order(out[a : a + rows], terms)
+        k = np.arange(1, len(self._kpow) + 1)
+        rows, out = max(1, _BLOCK // k.size), np.empty(n.shape)
+        for a in range(0, n.size, rows):
+            terms = _fgn_block(self.spec.H.H, 1.0, n[a : a + rows, None] / k)
+            terms *= self._kpow
+            out[a : a + rows] = _sum_in_order(terms)
         return out
 
     def _evaluate(self, n, offset: bool):

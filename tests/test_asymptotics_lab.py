@@ -404,10 +404,10 @@ class TestClosenessReport:
         back = json.loads(json.dumps(report_to_json(rep)))
         assert back["D_formula_signed"] is None and back["D_formula_abs"] is None
 
-    def test_growth_exponent_needs_two_probes_in_the_top_decade(self):
+    def test_growth_exponent_of_one_top_probe_falls_back_to_the_last_two(self):
         # A weaker long-memory component makes the offset grow as n^(2H').
         # Two probes in the top decade measure that growth; with one, beta
-        # falls back to 0.
+        # is fitted over the last two probes, as the slope is.
         spec = Sum(((FARIMA03, 1.0), (Fgn(HurstParam(0.7), 1.0), 0.1)))
         grids = dict(acvf_grid=range(0, 501, 25), x_grid=np.geomspace(1e-3, 0.5, 9))
         measured = closeness_report(spec, n_probe=(1_000, 10_000), **grids)
@@ -415,7 +415,9 @@ class TestClosenessReport:
         assert measured.beta_hat == pytest.approx(1.4, abs=1e-3)
         alone = closeness_report(spec, n_probe=(10, 10_000), **grids)
         assert not alone.offset_converged
-        assert alone.beta_hat == 0.0
+        _, evidence = vtf_offset(VtfView(spec), (10, 10_000))
+        lo = np.log(np.abs(evidence.offsets))
+        assert alone.beta_hat == float(np.polyfit(np.log([10, 10_000]), lo, 1)[0])
 
     @pytest.mark.parametrize(
         "signed, absolute, name",

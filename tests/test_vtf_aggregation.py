@@ -270,7 +270,7 @@ def _driver_lags(view) -> int:
     return len(getattr(view, "_gh", [0.0])) - 1
 
 
-SMALL_BLOCK = 1024  # AR(0.9)'s and AR(0.99)'s windows then span segments and blocks
+SMALL_BLOCK = 1024  # lags then split into many groups, and AR(0.99)'s 2K+1 = 5,465 points exceed a block
 
 
 def _lag_cases(k_top: int) -> dict:
@@ -287,9 +287,15 @@ def _lag_cases(k_top: int) -> dict:
         "all below K": np.arange(k_top),
     }
     for block in (vtf_aggregation._BLOCK, SMALL_BLOCK):
-        # The last chunk of windows, and of the offset's power sums, holds one lag.
+        # The last chunk of windows, and of the offset's power sums, holds one
+        # lag; a chunk holds max(1, block // (2K+1)) windows or
+        # max(1, block // K) power rows.  The first two counts differ from
+        # these only when 2K+1 exceeds the block or K half of it, and stay as
+        # further boundaries.
         cases[f"one-lag window chunk at {block}"] = np.arange(1, 2 * (block // width) + 2)
         cases[f"one-lag power chunk at {block}"] = np.arange(1, 2 * (block // max(1, min(k_top, block // 2))) + 2)
+        cases[f"one-lag window row chunk at {block}"] = np.arange(1, 2 * max(1, block // width) + 2)
+        cases[f"one-lag power row chunk at {block}"] = np.arange(1, 2 * max(1, block // max(1, k_top)) + 2)
     return cases
 
 
@@ -300,7 +306,7 @@ def _same_bits(got, want) -> bool:
 
 @pytest.mark.parametrize("name", list(BIT_IDENTITY_SPECS))
 def test_driver_sum_is_bit_identical_to_the_per_k_sum(name, monkeypatch):
-    # One table per block of window points and running sums in k order must
+    # One table of window points per group of lags and running sums in k order must
     # reproduce the per-k whole-array sum to the last bit, at the default
     # block and at a small one.  The reference is elementwise in the lags,
     # so it runs once over every case laid end to end.  The 10^4 dense lags
@@ -343,23 +349,24 @@ def test_driver_sum_evaluates_each_window_point_once(monkeypatch):
 
 def test_driver_sum_keeps_tables_and_chunks_under_the_block(monkeypatch):
     # Far-apart lags on AR(0.999), K = 25,220: no window shares a point, its
-    # 2K+1 = 50,441 terms exceed half a block, so each is summed in two
-    # segments, yet no table, chunk or power-sum evaluation exceeds a block.
+    # 2K+1 = 50,441 terms fill most of a block, so a chunk holds one window
+    # and a group two, yet no F call, chunk or power-sum evaluation exceeds
+    # a block.
     view = vtf(FracDiff(HurstParam(0.8), Arma((0.999,))))
     k_top = len(view._gh) - 1
     assert k_top == 25_220
     lags = 10**6 * np.arange(1, 41) + np.arange(40)
     sizes = {"table": [], "chunk": [], "power": []}
-    values, add_in_order, fgn_block = (
+    values, sum_in_order, fgn_block = (
         vtf_aggregation._Farima00.values,
-        vtf_aggregation._add_in_order,
+        vtf_aggregation._sum_in_order,
         vtf_aggregation._fgn_block,
     )
     monkeypatch.setattr(
         vtf_aggregation._Farima00, "values", lambda self, m, o: sizes["table"].append(m.size) or values(self, m, o)
     )
     monkeypatch.setattr(
-        vtf_aggregation, "_add_in_order", lambda acc, t: sizes["chunk"].append(t.size) or add_in_order(acc, t)
+        vtf_aggregation, "_sum_in_order", lambda t: sizes["chunk"].append(t.size) or sum_in_order(t)
     )
     monkeypatch.setattr(
         vtf_aggregation, "_fgn_block", lambda h, v, n: sizes["power"].append(n.size) or fgn_block(h, v, n)
@@ -369,6 +376,51 @@ def test_driver_sum_keeps_tables_and_chunks_under_the_block(monkeypatch):
     assert sum(sizes["power"]) == lags.size * k_top
     for kind, seen in sizes.items():
         assert 0 < max(seen) <= vtf_aggregation._BLOCK, kind
+
+
+def test_driver_sum_of_windows_wider_than_a_block(monkeypatch):
+    # AR(0.9996), K = 60,841: a window's 2K+1 = 121,683 points exceed a
+    # block, so a chunk holds one window, a power chunk one lag's K terms,
+    # and F takes a group's table in several calls.  Dense lags and probes
+    # share one group; lag 10^5 starts the next, whose first window shares
+    # points with the last one before; far-apart lags each form their own.
+    # The per-k reference over 2K+1 lags k takes most of this test's time,
+    # so it checks omega; the offset's one-row power chunks are checked bit
+    # for bit at the small block on AR(0.99), where K exceeds the block.
+    view = vtf(FracDiff(HurstParam(0.8), Arma((0.9996,))))
+    k_top = len(view._gh) - 1
+    assert k_top == 60_841
+    lags = np.array([1, 2, 3, 1_000, 2_000, 5_000, 10_000, 50_000, 100_000, 10**6, 2 * 10**6 + 1, 10**9])
+    sizes = {"table": [], "chunk": [], "power": [], "group": []}
+    values, sum_in_order, fgn_block, window_view = (
+        vtf_aggregation._Farima00.values,
+        vtf_aggregation._sum_in_order,
+        vtf_aggregation._fgn_block,
+        vtf_aggregation.sliding_window_view,
+    )
+    monkeypatch.setattr(
+        vtf_aggregation._Farima00, "values", lambda self, m, o: sizes["table"].append(m.size) or values(self, m, o)
+    )
+    monkeypatch.setattr(vtf_aggregation, "_sum_in_order", lambda t: sizes["chunk"].append(t.size) or sum_in_order(t))
+    monkeypatch.setattr(
+        vtf_aggregation, "_fgn_block", lambda h, v, n: sizes["power"].append(n.size) or fgn_block(h, v, n)
+    )
+    monkeypatch.setattr(
+        vtf_aggregation, "sliding_window_view", lambda t, w: sizes["group"].append(t.size) or window_view(t, w)
+    )
+    got = view.omega(lags)
+    # Each group past the first re-evaluates at most the 2K points its first
+    # window shares with the window before it.
+    union = np.unique(lags[:, None] + np.arange(-k_top, k_top + 1)).size
+    assert len(sizes["group"]) > 1
+    assert sum(sizes["table"]) <= union + 2 * k_top * (len(sizes["group"]) - 1)
+    view.offset(lags)
+    monkeypatch.undo()
+    assert _same_bits(got, per_k_vtf(view, lags, False))
+    assert 0 < max(sizes["table"]) <= vtf_aggregation._BLOCK
+    assert max(sizes["group"]) <= 2 * k_top + 1 + vtf_aggregation._BLOCK
+    assert 0 < max(sizes["chunk"]) <= 2 * k_top + 1
+    assert 0 < max(sizes["power"]) <= max(vtf_aggregation._BLOCK, k_top)
 
 
 def test_lags_beyond_2_53_are_named():
